@@ -46,6 +46,7 @@ from .graph import (
 )
 from .numtheory import (
     Factorization,
+    FactorizationBudgetError,
     count_unit_roots,
     factorize,
     is_square,

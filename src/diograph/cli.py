@@ -82,12 +82,11 @@ def _cmd_build(cfg: CommandConfig) -> int:
     edges_out = cfg.params.get("edge_list_out")
     if edges_out:
         graph.write_edge_list(G, edges_out)
-    doc = graph.graph_to_doc(G)
     if out:
         _emit(cfg, {"n": G.n, "e": G.edge_count, "shift": G.shift, "out": out},
               [f"wrote {out}: n={G.n} e={G.edge_count} shift={G.shift}"])
     else:
-        _emit(cfg, doc, [f"n={G.n} e={G.edge_count} shift={G.shift}"])
+        _emit(cfg, graph.graph_to_doc(G), [f"n={G.n} e={G.edge_count} shift={G.shift}"])
     return EXIT_OK
 
 

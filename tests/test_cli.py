@@ -41,6 +41,18 @@ def test_build_then_stats(capsys, tmp_path):
     assert doc["schema_version"] == 1
 
 
+def test_build_with_out_encodes_the_document_once(capsys, tmp_path, monkeypatch):
+    from diograph import graph
+
+    calls = []
+    real = graph.graph_to_doc
+    monkeypatch.setattr(graph, "graph_to_doc", lambda G: calls.append(G) or real(G))
+    gf = tmp_path / "g.json"
+    code, out, _ = run_cli(capsys, "build", "--N", "30", "--out", str(gf))
+    assert code == 0 and len(calls) == 1
+    assert json.loads(gf.read_text())["n"] == 30
+
+
 def test_structured_output_is_deterministic(capsys):
     outputs = set()
     for _ in range(2):

@@ -1,9 +1,15 @@
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 
+from diograph import numtheory
+from diograph.cli import main
 from diograph.numtheory import (
     Factorization,
+    FactorizationBudgetError,
     count_unit_roots,
     crt_combine,
     factorize,
@@ -135,3 +141,186 @@ def test_factorization_type_invariants():
     assert isinstance(f, Factorization)
     assert f.n == 360
     assert f.factors == {2: 3, 3: 2, 5: 1}
+
+
+M89 = 2**89 - 1  # a Mersenne prime above the deterministic Miller-Rabin limit
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def test_factorize_above_bound_never_builds_the_sieve(monkeypatch):
+    def no_table():
+        raise AssertionError("the sieve was consulted for a large input")
+
+    monkeypatch.setattr(numtheory, "_spf", no_table)
+    assert factorize(10_000_019 * 10_000_079 * 3**4).factors == {
+        3: 4, 10_000_019: 1, 10_000_079: 1,
+    }
+
+
+def test_spf_concurrent_first_calls_share_one_table(monkeypatch):
+    monkeypatch.setattr(numtheory, "_spf_table", None)
+    monkeypatch.setattr(numtheory, "_sieve_bound", lambda: 2_000_000)
+    threads_n = 6
+    barrier = threading.Barrier(threads_n)
+    tables = []
+
+    def first_call():
+        barrier.wait(timeout=10)
+        tables.append(numtheory._spf())
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_call) for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(tables) == threads_n
+    assert all(t is tables[0] for t in tables)
+
+
+def test_spf_table_is_int32_and_bound_is_checked(monkeypatch):
+    spf = numtheory._spf()
+    assert spf.dtype == np.int32
+    assert spf[9_999_991] == 9_999_991 and spf[9_999_999] == 3
+    read_bound = numtheory._sieve_bound.__wrapped__
+    monkeypatch.setenv(numtheory.SIEVE_BOUND_ENV, str(2**31))
+    assert read_bound() == 2**31
+    for bad in (3, 2**31 + 1):
+        monkeypatch.setenv(numtheory.SIEVE_BOUND_ENV, str(bad))
+        with pytest.raises(ValueError, match=numtheory.SIEVE_BOUND_ENV):
+            read_bound()
+
+
+def test_miller_rabin_needs_base_41_below_the_limit():
+    # the smallest strong pseudoprime to every prime base up to 37
+    n = 318_665_857_834_031_151_167_461
+    assert not is_prime(n)
+    assert factorize(n).factors == {399_165_290_221: 1, 798_330_580_441: 1}
+
+
+def test_factorize_beyond_miller_rabin_marks_probable_primes():
+    f = factorize(2 * M89)
+    assert f.factors == {2: 1, M89: 1}
+    assert f.probable_primes == (M89,)
+    assert factorize(M89 * M89 * 9).factors == {3: 2, M89: 2}
+    assert factorize(10_000_019 * 10_000_079).probable_primes == ()
+    assert square_free_part(18 * M89) == 2 * M89
+
+
+def test_factorize_budget_error(monkeypatch):
+    monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1000)
+    n = 1_000_000_007 * 1_000_000_009
+    with pytest.raises(FactorizationBudgetError, match=str(n)) as exc:
+        factorize(n)
+    assert isinstance(exc.value, ValueError)
+    # a small second factor still splits within the budget
+    assert factorize(101 * 1_000_000_007).factors == {101: 1, 1_000_000_007: 1}
+
+
+def test_factorize_budget_error_through_cli(monkeypatch, capsys):
+    monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1000)
+    n = 1_000_000_007 * 1_000_000_009
+    code = main(["neighbors", "--set", f"{n},{4 * n}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and str(n) in lines[0]
+
+
+def _oracle():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    return sympy, hypothesis, hypothesis.strategies
+
+
+# the same examples on every run, and nothing written to disk
+ORACLE_SETTINGS = {"deadline": None, "derandomize": True, "database": None}
+
+
+def test_factorize_oracle_prime_powers_above_bound():
+    sympy, _, _ = _oracle()
+    p = 10_000_019
+    for _ in range(4):
+        for k in range(1, 6):
+            assert factorize(p**k).factors == sympy.factorint(p**k) == {p: k}
+        p = sympy.nextprime(p)
+
+
+def test_factorize_oracle_semiprimes():
+    sympy, hypothesis, st = _oracle()
+
+    @hypothesis.settings(max_examples=12, **ORACLE_SETTINGS)
+    @hypothesis.given(st.integers(10**7, 10**12), st.integers(10**7, 10**12))
+    def check(x, y):
+        p, q = sympy.prevprime(x + 1), sympy.prevprime(y + 1)
+        assert factorize(p * q).factors == sympy.factorint(p * q)
+
+    check()
+
+
+def test_factorize_oracle_square_times_prime():
+    sympy, hypothesis, st = _oracle()
+
+    @hypothesis.settings(max_examples=40, **ORACLE_SETTINGS)
+    @hypothesis.given(st.integers(2, 10**9), st.integers(2, 10**9))
+    def check(x, y):
+        p, q = sympy.nextprime(x), sympy.nextprime(y)
+        n = p * p * q
+        assert factorize(n).factors == sympy.factorint(n)
+
+    check()
+
+
+def test_factorize_oracle_prime_squares_above_bound():
+    sympy, hypothesis, st = _oracle()
+
+    @hypothesis.settings(max_examples=40, **ORACLE_SETTINGS)
+    @hypothesis.given(st.integers(10**7, 10**20))
+    def check(x):
+        p = sympy.nextprime(x)
+        assert factorize(p * p).factors == {p: 2}
+        assert not is_prime(p * p)
+
+    check()
+
+
+def test_factorize_oracle_carmichael_numbers():
+    sympy, _, _ = _oracle()
+    # Chernick: (6k+1)(12k+1)(18k+1) is a Carmichael number when all
+    # three factors are prime
+    found = 0
+    for k in range(1, 400):
+        ps = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if not all(sympy.isprime(p) for p in ps):
+            continue
+        n = ps[0] * ps[1] * ps[2]
+        assert not is_prime(n)
+        assert factorize(n).factors == sympy.factorint(n) == {p: 1 for p in ps}
+        found += 1
+    assert found >= 10
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341):
+        assert not is_prime(n)
+        assert factorize(n).factors == sympy.factorint(n)
+
+
+def test_is_prime_oracle_around_miller_rabin_limit():
+    sympy, hypothesis, st = _oracle()
+    for n in range(MR_LIMIT - 500, MR_LIMIT + 500):
+        assert is_prime(n) == sympy.isprime(n), n
+
+    @hypothesis.settings(max_examples=300, **ORACLE_SETTINGS)
+    @hypothesis.given(st.integers(MR_LIMIT // 10**6, MR_LIMIT * 10**15))
+    def check(n):
+        assert is_prime(n) == sympy.isprime(n)
+
+    check()
+    q = sympy.nextprime(numtheory.isqrt(MR_LIMIT))
+    assert is_prime(sympy.nextprime(MR_LIMIT)) and is_prime(M89) and is_prime(2**127 - 1)
+    assert not is_prime(MR_LIMIT)  # a strong pseudoprime to every base up to 41
+    assert not is_prime(q * sympy.nextprime(q))
