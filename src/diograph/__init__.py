@@ -15,12 +15,10 @@ from .analysis import (
 )
 from .coloring import (
     ColoringResult,
-    ColorState,
     chromatic_number,
     k_colorable,
     minimality_check,
     mod4_coloring_shift2,
-    sweep,
 )
 from .extension import (
     RegularTriple,

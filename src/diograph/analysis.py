@@ -224,6 +224,18 @@ def _mod4_path_refutation(G: DiophGraph) -> bool:
     return m2 == m0 + 1 and m2 + m0 < G.n
 
 
+def _bitmask_adjacency(G: DiophGraph) -> tuple[list[int], list[int]]:
+    """The vertex list and, per vertex index, the bitmask of its
+    neighbors' indices."""
+    verts = list(G.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for i, v in enumerate(verts):
+        for u in G.adjacency[v]:
+            adj[i] |= 1 << index[u]
+    return verts, adj
+
+
 def hamiltonian_path_exists(G: DiophGraph, cap: int = 40) -> HamiltonPathResult:
     """Decide Hamiltonian-path existence: the mod-4 counting shortcut
     refutes without search where it applies; otherwise exhaustive
@@ -237,12 +249,7 @@ def hamiltonian_path_exists(G: DiophGraph, cap: int = 40) -> HamiltonPathResult:
     if n > cap:
         return HamiltonPathResult(None, None, "cap-exceeded")
 
-    verts = list(G.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for v in verts:
-        for u in G.adjacency[v]:
-            adj[index[v]] |= 1 << index[u]
+    verts, adj = _bitmask_adjacency(G)
     full = (1 << n) - 1
 
     if any(adj[i] == 0 for i in range(n)):
@@ -330,12 +337,7 @@ def mod4_neighbor_premise(G: DiophGraph) -> bool:
 def _cycle_search(G: DiophGraph) -> list[int] | None:
     """Exhaustive Hamiltonian-cycle search (small graphs only)."""
     n = G.n
-    verts = list(G.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for v in verts:
-        for u in G.adjacency[v]:
-            adj[index[v]] |= 1 << index[u]
+    verts, adj = _bitmask_adjacency(G)
     full = (1 << n) - 1
     path = [0]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ class CommandConfig:
 
     subcommand: str
     fmt: str
-    threads: int
     params: dict
 
 
@@ -63,7 +61,7 @@ def _load_source_graph(cfg: CommandConfig) -> tuple[graph.DiophGraph, list[int] 
         values = graph.load_witness_file(p["witness_file"])
         return graph.build_set(values, shift), values
     if p.get("N") is not None:
-        return graph.build_range(_positive("N", p["N"]), shift, workers=cfg.threads), None
+        return graph.build_range(_positive("N", p["N"]), shift), None
     raise ValueError("one of --graph-file, --witness-file or --N is required")
 
 
@@ -343,12 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build, extend, analyze and color Diophantine graphs.",
     )
     parser.add_argument("--format", choices=("human", "json"), default="human")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker count for graph building (output is identical for any value)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("build", help="build a graph and optionally write it out")
@@ -415,13 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items() if k not in ("format", "threads")}
-    cfg = CommandConfig(
-        subcommand=args.subcommand,
-        fmt=args.format,
-        threads=max(1, args.threads),
-        params=params,
-    )
+    params = {k: v for k, v in vars(args).items() if k != "format"}
+    cfg = CommandConfig(subcommand=args.subcommand, fmt=args.format, params=params)
     try:
         return _HANDLERS[args.subcommand](cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -1,8 +1,10 @@
 """k-colorability by candidate-set propagation plus branching.
 
-The search keeps a candidate color set per vertex.  Deciding a vertex
-sweeps its color out of all neighboring sets; sets that shrink to a
-single color cascade, and an emptied set kills the branch.  Case
+The search keeps a candidate color set per vertex, as a bitmask over the
+k colors.  Deciding a vertex sweeps its color out of all neighboring
+sets; sets that shrink to a single color cascade, and an emptied set
+kills the branch.  One propagator, `_propagate`, does this for the
+initial clique and after every decision.  Case
 distinctions copy the whole candidate table (an explicit stack, no trail
 undo), so the peak number of simultaneously open branches is directly
 observable.  Symmetry is broken by pre-assigning colors 0..c-1 to a
@@ -15,23 +17,19 @@ against every edge before being returned.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .graph import DiophGraph, remove_vertex
 from .witnesses import K4_WITNESS
 
 __all__ = [
-    "ColorState",
     "ColorStats",
     "ColoringResult",
     "MinimalityReport",
     "chromatic_number",
-    "initial_state",
     "k_colorable",
     "minimality_check",
     "mod4_coloring_shift2",
-    "sweep",
 ]
 
 
@@ -43,73 +41,6 @@ class ColorStats:
     branches: int = 0
     peak_open: int = 0
     propagation_steps: int = 0
-
-
-@dataclass
-class ColorState:
-    """Candidate-set table over a graph.  Decided vertices are exactly
-    those with singleton candidate sets; they appear in `assignment`."""
-
-    graph: DiophGraph
-    candidates: dict[int, frozenset[int]]
-    assignment: dict[int, int]
-    propagation_steps: int = 0
-
-    @property
-    def contradictory(self) -> bool:
-        return any(not c for c in self.candidates.values())
-
-
-def initial_state(G: DiophGraph, k: int, decided: dict[int, int] | None = None) -> ColorState:
-    """Fresh state with all k colors open everywhere, minus any explicit
-    pre-decisions."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    full = frozenset(range(k))
-    cands = {v: full for v in G.vertices}
-    assignment: dict[int, int] = {}
-    for v, c in (decided or {}).items():
-        if v not in cands:
-            raise ValueError(f"vertex {v} not in graph")
-        if c not in full:
-            raise ValueError(f"color {c} out of range for k={k}")
-        cands[v] = frozenset({c})
-        assignment[v] = c
-    return ColorState(G, cands, assignment)
-
-
-def sweep(state: ColorState, rng: random.Random | None = None) -> ColorState:
-    """Unit-propagate to fixpoint: each decided color is deleted from all
-    neighboring candidate sets, cascading on new singletons.
-
-    A contradiction (an emptied set) is a normal outcome, returned as a
-    state whose `contradictory` flag is set.  The fixpoint is independent
-    of processing order; `rng` shuffles it for exactly that property.
-    """
-    cands = dict(state.candidates)
-    assignment = dict(state.assignment)
-    steps = state.propagation_steps
-    # re-broadcasting an already-swept singleton is a no-op, so every
-    # singleton can safely seed the queue
-    queue = [v for v, c in cands.items() if len(c) == 1]
-    for v in queue:
-        assignment.setdefault(v, next(iter(cands[v])))
-    while queue:
-        i = rng.randrange(len(queue)) if rng else 0
-        v = queue.pop(i)
-        color = assignment[v]
-        for u in state.graph.neighbors(v):
-            cu = cands[u]
-            if color in cu:
-                cu = cu - {color}
-                cands[u] = cu
-                steps += 1
-                if not cu:
-                    return ColorState(state.graph, cands, assignment, steps)
-                if len(cu) == 1 and u not in assignment:
-                    assignment[u] = next(iter(cu))
-                    queue.append(u)
-    return ColorState(state.graph, cands, assignment, steps)
 
 
 @dataclass
@@ -139,19 +70,43 @@ def _verify_coloring(G: DiophGraph, assignment: dict[int, int]) -> None:
                 )
 
 
+def _propagate(
+    table: list[int],
+    adj: list[tuple[int, ...]],
+    decided: int,
+    queue: list[int],
+    stats: ColorStats,
+) -> tuple[bool, int]:
+    """Unit-propagate in place: each queued vertex's single color leaves
+    its neighbors' masks, cascading on new singletons; `decided` marks the
+    vertices swept or queued.  Returns (False, _) once a mask empties,
+    else (True, decided), whose fixpoint, decided set and deletion count
+    do not depend on queue or adjacency order."""
+    while queue:
+        v = queue.pop()
+        mask = table[v]
+        for u in adj[v]:
+            cu = table[u]
+            if cu & mask:
+                cu &= ~mask
+                stats.propagation_steps += 1
+                if not cu:
+                    return False, decided
+                table[u] = cu
+                if cu & (cu - 1) == 0 and not (decided >> u) & 1:
+                    decided |= 1 << u
+                    queue.append(u)
+    return True, decided
+
+
 def k_colorable(
-    G: DiophGraph,
-    k: int,
-    branch_order: list[int] | None = None,
-    prefix: list[tuple[int, int]] | None = None,
+    G: DiophGraph, k: int, branch_order: list[int] | None = None
 ) -> ColoringResult:
     """Decide k-colorability; sound and complete for the fixed k.
 
     Branching follows `branch_order` (default: the graph's vertex order),
-    assigning candidate colors in increasing numeric order, with a sweep
-    after every decision.  `prefix` restricts the search to the subtree
-    under the given (vertex, color) decisions, which is what a
-    distributed driver would shard on.
+    assigning candidate colors in increasing numeric order, with a
+    propagation pass after every decision.
     """
     order = list(branch_order) if branch_order is not None else list(G.vertices)
     if sorted(order) != list(G.vertices):
@@ -175,48 +130,11 @@ def k_colorable(
     for color, v in enumerate(clique):
         cand[index[v]] = 1 << color
 
-    def run_sweep(table: list[int], decided: int, queue: list[int]) -> tuple[bool, int]:
-        while queue:
-            v = queue.pop()
-            mask = table[v]
-            for u in adj[v]:
-                cu = table[u]
-                if cu & mask:
-                    cu &= ~mask
-                    stats.propagation_steps += 1
-                    if not cu:
-                        return False, decided
-                    table[u] = cu
-                    if cu & (cu - 1) == 0 and not (decided >> u) & 1:
-                        decided |= 1 << u
-                        queue.append(u)
-        return True, decided
-
-    decided = 0
-    seeds = []
-    for i in range(n):
-        if cand[i] & (cand[i] - 1) == 0:
-            decided |= 1 << i
-            seeds.append(i)
-    ok, decided = run_sweep(cand, decided, seeds)
+    seeds = [i for i in range(n) if cand[i] & (cand[i] - 1) == 0]
+    decided = sum(1 << i for i in seeds)
+    ok, decided = _propagate(cand, adj, decided, seeds, stats)
     if not ok:
         return ColoringResult(False, None, stats)
-
-    for v, color in prefix or []:
-        if v not in index:
-            raise ValueError(f"prefix vertex {v} not in graph")
-        if not 0 <= color < k:
-            raise ValueError(f"prefix color {color} out of range for k={k}")
-        i = index[v]
-        bit = 1 << color
-        if not cand[i] & bit:
-            return ColoringResult(False, None, stats)
-        if not (decided >> i) & 1:
-            cand[i] = bit
-            decided |= 1 << i
-            ok, decided = run_sweep(cand, decided, [i])
-            if not ok:
-                return ColoringResult(False, None, stats)
 
     stack: list[tuple[list[int], int, int]] = [(cand, decided, 0)]
     stats.peak_open = 1
@@ -238,7 +156,9 @@ def k_colorable(
         for bit in reversed(bits):  # smallest color explored first
             child = table.copy()
             child[pos] = bit
-            ok, child_decided = run_sweep(child, decided | (1 << pos), [pos])
+            ok, child_decided = _propagate(
+                child, adj, decided | (1 << pos), [pos], stats
+            )
             if ok:
                 stack.append((child, child_decided, pos + 1))
         if len(stack) > stats.peak_open:

@@ -22,6 +22,7 @@ from math import gcd, isqrt
 from .graph import build_set, edge_test
 from .numtheory import (
     crt_combine,
+    divisors,
     is_square,
     iter_primes,
     same_square_free_part,
@@ -343,7 +344,9 @@ def common_neighbors_equal_sqfree(a: int, b: int) -> list[int]:
     With a = g*alpha^2, b = g*beta^2 and A = beta/delta, B = alpha/delta
     (delta = gcd), the squares a*w + 1 = r^2, b*w + 1 = t^2 force
     (A*r)^2 - (B*t)^2 = A^2 - B^2, a fixed nonzero difference, so all
-    solutions come from its divisor pairs.
+    solutions come from its divisor pairs.  The divisors come from a
+    factorization of |A^2 - B^2|, so the run time is bounded: a difference
+    rho cannot split raises FactorizationBudgetError.
     """
     if a == b:
         raise ValueError("need two distinct integers")
@@ -360,10 +363,10 @@ def common_neighbors_equal_sqfree(a: int, b: int) -> list[int]:
     A, B = beta // delta, alpha // delta
     diff = A * A - B * B
     out: set[int] = set()
-    for p in range(1, isqrt(abs(diff)) + 1):
-        if abs(diff) % p:
-            continue
+    for p in divisors(abs(diff)):
         qq = abs(diff) // p
+        if qq < p:
+            break
         if (p + qq) % 2:
             continue
         u, wv = (p + qq) // 2, (qq - p) // 2

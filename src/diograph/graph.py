@@ -5,16 +5,18 @@ exactly when a*b + shift is a perfect square (shift = 1 is the classical
 relation).  Graphs are immutable once built: mutating operations return
 new values, so concurrent readers are always safe.
 
-build_range uses the residue-class enumeration behind the degree bound:
-the multipliers r with a*b + 1 = r^2 lie in the root classes of
-x^2 = 1 (mod a), so the neighbors of a are swept without touching the
-other N-1 vertices.  Any other shift falls back to pairwise testing.
+The range graph on {1..N} at shift 1 rests on the residue-class
+enumeration behind the degree bound: the multipliers r with
+a*b + 1 = r^2 lie in the root classes of x^2 = 1 (mod a), so the
+neighbors of a are swept without touching the other N-1 vertices.  One
+sweep serves both build_range (which expands each class) and
+range_edge_count (which counts it in closed form).  Any other shift
+falls back to pairwise testing.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -161,46 +163,36 @@ def build_set(values, shift: int = 1) -> DiophGraph:
     return DiophGraph(tuple(vs), {v: tuple(sorted(nb)) for v, nb in adj.items()}, shift)
 
 
-def _range_edges_chunk(lo: int, hi: int, N: int) -> list[tuple[int, int]]:
-    """Edges (a, b) with lo <= a < b <= N, enumerated from a's root classes."""
-    out = []
-    for a in range(lo, hi):
+def _root_classes(N: int):
+    """(a, r0, rmax) for every vertex a of {1..N} and every root class of
+    x^2 = 1 (mod a) that holds a multiplier r in (a, rmax], rmax =
+    isqrt(a*N + 1); r0 is the smallest such r.  Each r in the class up to
+    rmax gives the neighbor b = (r^2 - 1)/a > a.  Vertices a >= N - 1 have
+    no neighbor above them and are skipped."""
+    for a in range(1, N - 1):
         rmax = isqrt(a * N + 1)
-        if rmax <= a:
-            continue
         for rho in unit_roots_mod(a).roots:
-            # smallest r >= a+1 with r = rho (mod a); b > a iff r > a
-            r = a + 1 + ((rho - a - 1) % a)
-            while r <= rmax:
-                out.append((a, (r * r - 1) // a))
-                r += a
-    return out
+            r0 = a + 1 + (rho - a - 1) % a
+            if r0 <= rmax:
+                yield a, r0, rmax
 
 
-def build_range(N: int, shift: int = 1, workers: int = 1) -> DiophGraph:
-    """Graph on {1..N}.  The shift-1 builder sweeps residue classes per
-    vertex; other shifts fall back to pairwise testing.
-
-    With workers > 1 the vertex range is partitioned into contiguous
-    chunks; the merged result is identical to the serial build.
-    """
+def build_range(N: int, shift: int = 1) -> DiophGraph:
+    """Graph on {1..N}.  At shift 1 each vertex's neighbors above it are
+    swept from its root classes; other shifts fall back to pairwise
+    testing."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if shift != 1:
         return build_set(range(1, N + 1), shift)
-    workers = max(1, min(workers, N))
-    if workers == 1:
-        edges = _range_edges_chunk(1, N + 1, N)
-    else:
-        bounds = [1 + (N * i) // workers for i in range(workers + 1)]
-        bounds[-1] = N + 1
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_range_edges_chunk, bounds[:-1], bounds[1:], [N] * workers)
-            edges = [e for chunk in chunks for e in chunk]
     adj: dict[int, list[int]] = {v: [] for v in range(1, N + 1)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    for a, r, rmax in _root_classes(N):
+        nb = adj[a]
+        while r <= rmax:
+            b = (r * r - 1) // a
+            nb.append(b)
+            adj[b].append(a)
+            r += a
     # candidates from different root classes of the same vertex interleave
     return DiophGraph(
         tuple(range(1, N + 1)), {v: tuple(sorted(nb)) for v, nb in adj.items()}, 1
@@ -209,20 +201,10 @@ def build_range(N: int, shift: int = 1, workers: int = 1) -> DiophGraph:
 
 def range_edge_count(N: int) -> int:
     """Edge count of the shift-1 graph on {1..N} without building it:
-    per vertex a, each root class of x^2 = 1 (mod a) contributes a
-    closed-form count of multipliers r in (a, isqrt(a*N + 1)]."""
+    each root class contributes a closed-form count of its multipliers."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    total = 0
-    for a in range(1, N + 1):
-        rmax = isqrt(a * N + 1)
-        if rmax <= a:
-            continue
-        for rho in unit_roots_mod(a).roots:
-            r0 = a + 1 + ((rho - a - 1) % a)
-            if r0 <= rmax:
-                total += (rmax - r0) // a + 1
-    return total
+    return sum((rmax - r0) // a + 1 for a, r0, rmax in _root_classes(N))
 
 
 @dataclass
@@ -425,32 +407,37 @@ def graph_to_doc(G: DiophGraph) -> dict:
 
 
 def graph_from_doc(doc: dict) -> DiophGraph:
-    """Rebuild a graph from its document, validating structure and the
-    square property of every listed edge."""
+    """Rebuild a graph from its document, validating structure, a positive
+    shift, the square property of every listed edge and that no edge is
+    listed twice."""
     try:
         shift = int(doc["shift"])
         vertices = _validate_vertices(doc["vertices"])
         edges = [(int(a), int(b)) for a, b in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from None
+    if shift < 1:
+        raise ValueError(f"graph document has shift {shift}; it must be positive")
     if "n" in doc and int(doc["n"]) != len(vertices):
         raise ValueError(
             f"graph document claims n={doc['n']} but lists {len(vertices)} vertices"
         )
-    vset = set(vertices)
     adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
     for a, b in edges:
-        if a not in vset or b not in vset:
+        na, nb = adj.get(a), adj.get(b)
+        if na is None or nb is None:
             raise ValueError(f"edge ({a}, {b}) uses unknown vertices")
-        if not edge_test(a, b, shift):
+        # edge_test without its argument checks, which hold here
+        if a == b or not is_square(a * b + shift):
             raise ValueError(f"({a}, {b}) is not an edge at shift {shift}")
-        adj[a].append(b)
-        adj[b].append(a)
-    return DiophGraph(
-        tuple(sorted(vertices)),
-        {v: tuple(sorted(nb)) for v, nb in adj.items()},
-        shift,
-    )
+        na.append(b)
+        nb.append(a)
+    adjacency = {v: tuple(sorted(nb)) for v, nb in adj.items()}
+    for a, nb in adjacency.items():
+        if len(set(nb)) != len(nb):
+            b = next(u for u, w in zip(nb, nb[1:]) if u == w)
+            raise ValueError(f"edge ({min(a, b)}, {max(a, b)}) is listed twice")
+    return DiophGraph(tuple(sorted(vertices)), adjacency, shift)
 
 
 def save_graph_file(G: DiophGraph, path) -> None:

@@ -31,6 +31,7 @@ __all__ = [
     "UnitRootsModA",
     "count_unit_roots",
     "crt_combine",
+    "divisors",
     "factorize",
     "is_prime",
     "is_square",
@@ -183,7 +184,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # U_k, V_k and Q^k for k running over the binary prefixes of d
+    # U_k, V_k and Q^k, where k is d's leading bits, one more bit per step
     U, V, Qk = 1, P, Q % n
     for bit in bin(d)[3:]:
         U, V = U * V % n, (V * V - 2 * Qk) % n
@@ -285,6 +286,21 @@ def _factorize_large(n: int) -> Factorization:
         pending += [(d, k), (m // d, k)]
     probable = tuple(p for p in sorted(factors) if p >= _MR_DETERMINISTIC_LIMIT)
     return Factorization(n, dict(sorted(factors.items())), probable)
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, increasing.
+
+    n is split as `factorize` splits inputs above the sieve bound, at any
+    size, so a one-off call never builds the table; it raises
+    FactorizationBudgetError in the same cases.
+    """
+    if n < 1:
+        raise ValueError(f"divisors expects a positive integer, got {n}")
+    out = [1]
+    for p, e in _factorize_large(n).factors.items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def _pollard_brent(n: int, budget: int) -> tuple[int | None, int]:

@@ -81,7 +81,7 @@ def fundamental_unit(D: int) -> PellUnit:
 
 @dataclass(frozen=True)
 class PellOrbit:
-    """A finite prefix of the solution stream seed * unit^t, t = 0, 1, ..."""
+    """The first terms of the solution stream seed * unit^t, t = 0, 1, ..."""
 
     instance: PellInstance
     seed: tuple[int, int]

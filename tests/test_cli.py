@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from diograph.cli import main
+from diograph.numtheory import is_square
 from diograph.witnesses import FIVE_CHROMATIC_WITNESS, K4_WITNESS
 
 
@@ -59,13 +61,26 @@ def test_structured_output_is_deterministic(capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "build", "--N", "30")
         assert code == 0
         outputs.add(out)
-    for threads in ("1", "4"):
-        code, out, _ = run_cli(
-            capsys, "--format", "json", "--threads", threads, "build", "--N", "30"
-        )
-        assert code == 0
-        outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "build", "--N", "8"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_graph_file_with_duplicate_edge_exits_2(capsys, tmp_path):
+    from diograph import graph
+
+    doc = graph.graph_to_doc(graph.build_range(8))
+    doc["edges"].append(doc["edges"][0])
+    gf = tmp_path / "dup.json"
+    gf.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
+    assert code == 2 and out == ""
+    assert "listed twice" in err
 
 
 def test_chroma_on_five_chromatic_witness(capsys, five_chromatic_file):
@@ -117,6 +132,20 @@ def test_neighbors_bounded(capsys):
                            "--bound", "1000000")
     assert code == 0
     assert out.strip() == "120"
+
+
+def test_neighbors_exact_large_pair_is_quick(capsys):
+    # A = 10^9, B = 1: the divisors of A^2 - B^2 come from its factorization
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "neighbors", "--set", "3,3000000000000000000"
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    found = json.loads(out)["neighbors"]
+    assert found == [83333333333333333]
+    for w in found:
+        assert is_square(3 * w + 1) and is_square(3 * 10**18 * w + 1)
 
 
 def test_neighbors_exact(capsys):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from diograph.coloring import (
+    ColorStats,
+    _propagate,
     chromatic_number,
-    initial_state,
     k_colorable,
     minimality_check,
     mod4_coloring_shift2,
-    sweep,
 )
 from diograph.graph import DiophGraph, build_range, build_set
 from diograph.witnesses import K4_WITNESS
@@ -47,25 +47,53 @@ def exhaustive_colorable(G, k):
     return bool(ok.any())
 
 
+def propagate(g, k, decided, rng=None):
+    """Run the propagator from the pre-decisions {vertex: color}.  `rng`
+    shuffles the seed queue and every adjacency tuple.  Returns the
+    verdict, the candidate masks by vertex, the decided vertices and the
+    deletion count."""
+    order = list(g.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    adj = [[index[u] for u in g.adjacency[v]] for v in order]
+    table = [(1 << k) - 1] * len(order)
+    mask = 0
+    queue = []
+    for v, c in decided.items():
+        i = index[v]
+        table[i] = 1 << c
+        mask |= 1 << i
+        queue.append(i)
+    if rng:
+        for nb in adj:
+            rng.shuffle(nb)
+        rng.shuffle(queue)
+    stats = ColorStats()
+    ok, mask = _propagate(table, [tuple(nb) for nb in adj], mask, queue, stats)
+    masks = {v: table[index[v]] for v in order}
+    swept = {v for v in order if (mask >> index[v]) & 1}
+    return ok, masks, swept, stats.propagation_steps
+
+
 def test_sweep_forces_last_clique_color():
     g = build_set(K4_WITNESS)
-    state = initial_state(g, 4, decided={1: 0, 3: 1, 8: 2})
-    out = sweep(state)
-    assert not out.contradictory
-    assert out.assignment[120] == 3
-    assert out.candidates[120] == frozenset({3})
+    ok, masks, swept, _ = propagate(g, 4, {1: 0, 3: 1, 8: 2})
+    assert ok
+    assert masks[120] == 1 << 3
+    assert swept == set(K4_WITNESS)
 
 
 def test_sweep_chain_propagation():
     g = abstract_graph(3, [(1, 2), (2, 3)])
-    out = sweep(initial_state(g, 2, decided={1: 0}))
-    assert out.assignment == {1: 0, 2: 1, 3: 0}
+    ok, masks, swept, steps = propagate(g, 2, {1: 0})
+    assert ok
+    assert masks == {1: 0b01, 2: 0b10, 3: 0b01}
+    assert swept == {1, 2, 3} and steps == 2
 
 
 def test_sweep_contradiction_on_triangle():
     g = abstract_graph(3, [(1, 2), (1, 3), (2, 3)])
-    out = sweep(initial_state(g, 2, decided={1: 0, 2: 1}))
-    assert out.contradictory
+    ok, _, _, _ = propagate(g, 2, {1: 0, 2: 1})
+    assert not ok
 
 
 def test_sweep_confluence_under_random_orders():
@@ -82,25 +110,26 @@ def test_sweep_confluence_under_random_orders():
         decided = {1: 0}
         if n >= 5:
             decided[5] = 1
-        base = sweep(initial_state(g, 3, decided=decided))
+        base = propagate(g, 3, decided)
         for seed in range(5):
-            shuffled = sweep(
-                initial_state(g, 3, decided=decided), rng=random.Random(seed)
-            )
+            shuffled = propagate(g, 3, decided, rng=random.Random(seed))
             # the contradiction verdict is order-independent; the full
-            # fixpoint table is only reached (and unique) without one
-            assert shuffled.contradictory == base.contradictory
-            if not base.contradictory:
-                assert shuffled.candidates == base.candidates
-                assert shuffled.assignment == base.assignment
+            # fixpoint (masks, decided set, deletions) is only reached,
+            # and unique, without one
+            assert shuffled[0] == base[0]
+            if base[0]:
+                assert shuffled == base
 
 
 def test_sweep_is_monotone():
     g = abstract_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    state = initial_state(g, 3, decided={1: 0})
-    out = sweep(state)
+    decided = {1: 0}
+    ok, masks, _, _ = propagate(g, 3, decided)
+    assert ok
     for v in g.vertices:
-        assert out.candidates[v] <= state.candidates[v]
+        before = 1 << decided[v] if v in decided else 0b111
+        assert masks[v] & ~before == 0
+    assert masks[2] == masks[4] == 0b110
 
 
 def test_k_colorable_odd_cycle():
@@ -141,20 +170,6 @@ def test_branch_order_validation():
     g = build_set([1, 3, 8])
     with pytest.raises(ValueError, match="permutation"):
         k_colorable(g, 2, branch_order=[1, 3])
-
-
-def test_branch_prefix_restriction():
-    c5 = cycle_graph(5)
-    full = k_colorable(c5, 3)
-    assert full.colorable
-    # prefixes restrict the search below the symmetry-broken clique;
-    # vertex 4 is outside the greedy clique {1, 2}
-    r1 = k_colorable(c5, 3, prefix=[(4, 2)])
-    r2 = k_colorable(c5, 3, prefix=[(4, 2)])
-    assert r1.colorable and r1.assignment[4] == 2
-    assert r1.assignment == r2.assignment
-    # an unsatisfiable prefix prunes the whole subtree
-    assert not k_colorable(c5, 2, prefix=[(4, 1)]).colorable
 
 
 def test_chromatic_number_examples():

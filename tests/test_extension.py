@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -140,6 +141,32 @@ def test_common_neighbors_equal_sqfree_matches_bounded():
         assert exact == common_neighbors_bounded([a, b], 10**6), (a, b)
         for w in exact:
             assert is_square(a * w + 1) and is_square(b * w + 1)
+
+
+def walk_common_neighbors(a, b, x, y):
+    """Brute force for a = s*x^2, b = s*y^2: with g = gcd(x, y) and
+    A = x/g, B = y/g, (B*r)^2 - (A*t)^2 = B^2 - A^2 bounds r below
+    |B^2 - A^2| + 2, so every r is walked."""
+    g = gcd(x, y)
+    out = []
+    for r in range(2, abs((y // g) ** 2 - (x // g) ** 2) + 2):
+        w, rem = divmod(r * r - 1, a)
+        if not rem and w >= 1 and is_square(b * w + 1):
+            out.append(w)
+    return out
+
+
+def test_common_neighbors_equal_sqfree_matches_r_walk():
+    rng = random.Random(20261018)
+    hits = 0
+    for _ in range(400):
+        s = rng.randint(1, 30)
+        x, y = rng.sample(range(1, 80), 2)
+        a, b = s * x * x, s * y * y
+        got = common_neighbors_equal_sqfree(a, b)
+        assert got == walk_common_neighbors(a, b, x, y), (s, x, y)
+        hits += len(got)
+    assert hits > 0
 
 
 def test_common_neighbors_bounded_examples():

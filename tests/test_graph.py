@@ -69,12 +69,6 @@ def test_build_range_equals_build_set():
         assert build_range(N).edges() == build_set(range(1, N + 1)).edges()
 
 
-def test_build_range_parallel_identical():
-    serial = build_range(2000, workers=1)
-    for workers in (2, 3, 8):
-        assert build_range(2000, workers=workers) == serial
-
-
 def test_adjacency_is_sorted_and_symmetric():
     g = build_range(500)
     for v in g.vertices:
@@ -223,6 +217,20 @@ def test_graph_doc_rejects_fake_edges():
     doc["edges"].append([1, 2])
     with pytest.raises(ValueError, match="not an edge"):
         graph_from_doc(doc)
+
+
+def test_graph_doc_rejects_duplicate_edges():
+    doc = graph_to_doc(build_range(8))
+    doc["edges"].append([8, 3])
+    with pytest.raises(ValueError, match=r"edge \(3, 8\) is listed twice"):
+        graph_from_doc(doc)
+
+
+def test_graph_doc_rejects_nonpositive_shift():
+    for shift in (0, -7):
+        doc = {"n": 2, "shift": shift, "vertices": [1, 2], "edges": []}
+        with pytest.raises(ValueError, match="shift"):
+            graph_from_doc(doc)
 
 
 def test_edge_list_export(tmp_path):

@@ -12,6 +12,7 @@ from diograph.numtheory import (
     FactorizationBudgetError,
     count_unit_roots,
     crt_combine,
+    divisors,
     factorize,
     is_prime,
     is_square,
@@ -155,6 +156,19 @@ def test_factorize_above_bound_never_builds_the_sieve(monkeypatch):
     assert factorize(10_000_019 * 10_000_079 * 3**4).factors == {
         3: 4, 10_000_019: 1, 10_000_079: 1,
     }
+
+
+def test_divisors_match_trial_division_without_the_sieve(monkeypatch):
+    def no_table():
+        raise AssertionError("divisors consulted the sieve")
+
+    monkeypatch.setattr(numtheory, "_spf", no_table)
+    for n in list(range(1, 400)) + [1_000_000, 999_999, 2**20, 3**4 * 43**2]:
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    # 10^18 - 1 = 3^4 * 7 * 11 * 13 * 19 * 37 * 52579 * 333667
+    assert len(divisors(10**18 - 1)) == 5 * 2**7
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_spf_concurrent_first_calls_share_one_table(monkeypatch):
