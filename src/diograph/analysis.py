@@ -17,7 +17,7 @@ from math import isqrt, log
 
 import numpy as np
 
-from .graph import DiophGraph, GraphStats, edge_test, remove_vertex, stats
+from .graph import DiophGraph, GraphStats, edge_test, induced, stats
 from .numtheory import count_unit_roots
 
 __all__ = [
@@ -59,15 +59,27 @@ class PruneTrace:
 def prune_low_degree(G: DiophGraph) -> tuple[DiophGraph, PruneTrace]:
     """Repeatedly remove a minimum-degree vertex while its degree is
     strictly below the edge density e/n (ties broken by smallest label).
-    Every removal strictly increases the density."""
+    Every removal strictly increases the density.
+
+    One smallest-last peel (Matula & Beck 1983) over a heap keyed by
+    (degree, label) with lazy deletion.  Degrees only fall, so a vertex's
+    newest entry holds its current degree and pops before its older ones;
+    the vertex is then removed or the peel stops, and every later entry
+    for it is stale."""
+    # imported here: loading the _heapq extension at module import would
+    # add to every other command's peak RSS
+    import heapq
+
     initial = stats(G)
-    cur = G
+    nbrs = {v: set(G.adjacency[v]) for v in G.vertices}
+    heap = [(len(nb), v) for v, nb in nbrs.items()]
+    heapq.heapify(heap)
+    n, e = G.n, G.edge_count
     steps: list[PruneStep] = []
-    while cur.n:
-        e = cur.edge_count
-        n = cur.n
-        v = min(cur.vertices, key=lambda u: (cur.degree(u), u))
-        d = cur.degree(v)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v not in nbrs:
+            continue
         if d * n >= e:  # degree >= density: removal no longer helps
             break
         before = Fraction(e, n)
@@ -75,7 +87,13 @@ def prune_low_degree(G: DiophGraph) -> tuple[DiophGraph, PruneTrace]:
         if after <= before:
             raise RuntimeError("pruning failed to increase density")
         steps.append(PruneStep(v, d, before, after))
-        cur = remove_vertex(cur, v)
+        for u in nbrs.pop(v):
+            nb = nbrs[u]
+            nb.discard(v)
+            heapq.heappush(heap, (len(nb), u))
+        n -= 1
+        e -= d
+    cur = induced(G, nbrs)
     return cur, PruneTrace(tuple(steps), initial, stats(cur))
 
 

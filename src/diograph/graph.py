@@ -47,7 +47,10 @@ __all__ = [
     "write_edge_list",
 ]
 
-GRAPH_SCHEMA_VERSION = 1
+# Version 2 is the compact layout (no indentation); the fields are those
+# of version 1, so both load.
+GRAPH_SCHEMA_VERSION = 2
+_READABLE_SCHEMA_VERSIONS = (1, 2)
 
 # Largest product for which the vectorized float64 square test is exact.
 _NUMPY_SQUARE_LIMIT = 1 << 52
@@ -402,14 +405,23 @@ def graph_to_doc(G: DiophGraph) -> dict:
         "n": G.n,
         "shift": G.shift,
         "vertices": list(G.vertices),
-        "edges": [[a, b] for a, b in G.edges()],
+        "edges": [[a, b] for a in G.vertices for b in G.adjacency[a] if b > a],
     }
 
 
 def graph_from_doc(doc: dict) -> DiophGraph:
     """Rebuild a graph from its document, validating structure, a positive
     shift, the square property of every listed edge and that no edge is
-    listed twice."""
+    listed twice.  A `schema_version` other than 1 or 2 is rejected; a
+    document without one loads."""
+    if not isinstance(doc, dict):
+        raise ValueError("malformed graph document: not a JSON object")
+    version = doc.get("schema_version", 1)
+    if type(version) is not int or version not in _READABLE_SCHEMA_VERSIONS:
+        raise ValueError(
+            f"graph document has schema_version {version!r}; this reader loads "
+            f"versions {', '.join(map(str, _READABLE_SCHEMA_VERSIONS))}"
+        )
     try:
         shift = int(doc["shift"])
         vertices = _validate_vertices(doc["vertices"])
@@ -441,8 +453,11 @@ def graph_from_doc(doc: dict) -> DiophGraph:
 
 
 def save_graph_file(G: DiophGraph, path) -> None:
+    """One line of compact JSON.  It is encoded with one `json.dumps`:
+    `json.dump` and any `indent` use the pure-Python encoder."""
+    text = json.dumps(graph_to_doc(G))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_doc(G), fh, indent=2)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -451,7 +466,9 @@ def load_graph_file(path) -> DiophGraph:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+            raise ValueError(
+                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+            ) from None
     return graph_from_doc(doc)
 
 

@@ -343,8 +343,14 @@ def _pollard_brent(n: int, budget: int) -> tuple[int | None, int]:
 
 
 def square_free_part(n: int) -> int:
-    """Product of the primes dividing n to an odd power."""
-    f = factorize(n)
+    """Product of the primes dividing n to an odd power.
+
+    Like `divisors`, n is split without the sieve at any size, so a
+    one-off call never builds the table.
+    """
+    if n < 1:
+        raise ValueError(f"square_free_part expects a positive integer, got {n}")
+    f = _factorize_large(n)
     out = 1
     for p, e in f.factors.items():
         if e % 2 == 1:

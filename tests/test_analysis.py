@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 from math import log
 
 import pytest
 
 from diograph.analysis import (
+    PruneStep,
+    PruneTrace,
     hamiltonian_cycle_exists,
     hamiltonian_path_exists,
     heuristic_score,
@@ -13,7 +16,7 @@ from diograph.analysis import (
     omega_distribution,
     prune_low_degree,
 )
-from diograph.graph import DiophGraph, build_range, build_set, edge_test
+from diograph.graph import DiophGraph, build_range, build_set, edge_test, remove_vertex, stats
 from diograph.numtheory import factorize
 
 
@@ -49,6 +52,55 @@ def test_prune_strict_density_increase_on_range_graph():
         assert Fraction(step.degree) < step.density_before
     assert trace.final.density > trace.initial.density
     assert pruned.n == trace.final.n
+
+
+def prune_by_rebuilding(G):
+    """Reference pruning: scan for a minimum (degree, label) vertex and
+    rebuild the graph without it, once per removal."""
+    initial = stats(G)
+    cur = G
+    steps = []
+    while cur.n:
+        e, n = cur.edge_count, cur.n
+        v = min(cur.vertices, key=lambda u: (cur.degree(u), u))
+        d = cur.degree(v)
+        if d * n >= e:
+            break
+        steps.append(PruneStep(v, d, Fraction(e, n), Fraction(e - d, n - 1)))
+        cur = remove_vertex(cur, v)
+    return cur, PruneTrace(tuple(steps), initial, stats(cur))
+
+
+# prune --N: (initial e, removed vertices, final n, final e), as perfbench
+# checks them
+PRUNE_FACTS = {2000: (8394, 1242, 758, 4283), 300: (916, 128, 172, 634)}
+
+
+@pytest.mark.parametrize("N", [300, 1000, 2000])
+def test_prune_matches_rebuild_oracle_on_range_graphs(N):
+    pruned, trace = prune_low_degree(build_range(N))
+    assert (pruned, trace) == prune_by_rebuilding(build_range(N))
+    if N in PRUNE_FACTS:
+        got = (trace.initial.e, len(trace.steps), trace.final.n, trace.final.e)
+        assert got == PRUNE_FACTS[N]
+
+
+def test_prune_matches_rebuild_oracle_on_random_graphs():
+    removed_degrees = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        if seed % 2:
+            # Diophantine graphs on sparse sets: many isolated vertices
+            g = build_set(rng.sample(range(1, 400), rng.randrange(20, 80)))
+        else:
+            # random abstract graphs with few distinct degrees: many ties
+            n, p = rng.randrange(10, 60), rng.choice((0.05, 0.1, 0.3))
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+            g = abstract_graph(n, [ab for ab in pairs if rng.random() < p])
+        pruned, trace = prune_low_degree(g)
+        assert (pruned, trace) == prune_by_rebuilding(g), seed
+        removed_degrees |= {step.degree for step in trace.steps}
+    assert {0, 1, 2} <= removed_degrees
 
 
 def test_heuristic_score_values():

@@ -83,6 +83,40 @@ def test_graph_file_with_duplicate_edge_exits_2(capsys, tmp_path):
     assert "listed twice" in err
 
 
+def test_graph_file_with_unknown_schema_version_exits_2(capsys, tmp_path):
+    from diograph import graph
+
+    doc = {**graph.graph_to_doc(graph.build_range(8)), "schema_version": 3}
+    gf = tmp_path / "v3.json"
+    gf.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
+    assert code == 2 and out == ""
+    assert "schema_version 3" in err
+
+
+def test_truncated_graph_file_exits_2_with_position(capsys, tmp_path):
+    gf = tmp_path / "g.json"
+    assert run_cli(capsys, "build", "--N", "100", "--out", str(gf))[0] == 0
+    text = gf.read_text()
+    gf.write_text(text[:-20], encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
+    assert code == 2 and out == ""
+    assert f"{gf}:1:{len(text) - 20 + 1}: invalid JSON" in err
+
+
+def test_prune_out_round_trips(capsys, tmp_path):
+    from diograph import analysis, graph
+
+    gf = tmp_path / "pruned.json"
+    code, _, _ = run_cli(capsys, "prune", "--N", "300", "--out", str(gf))
+    assert code == 0
+    pruned, _ = analysis.prune_low_degree(graph.build_range(300))
+    assert graph.load_graph_file(gf) == pruned
+    code, out, _ = run_cli(capsys, "--format", "json", "stats", "--graph-file", str(gf))
+    assert code == 0
+    assert (json.loads(out)["n"], json.loads(out)["e"]) == (172, 634)
+
+
 def test_chroma_on_five_chromatic_witness(capsys, five_chromatic_file):
     code, out, _ = run_cli(capsys, "chroma", "--witness-file", five_chromatic_file)
     assert code == 0

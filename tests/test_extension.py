@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from diograph import numtheory
 from diograph.extension import (
     ExtensionRequest,
     RegularTriple,
@@ -131,6 +132,14 @@ def test_common_neighbors_equal_sqfree_examples():
     assert common_neighbors_equal_sqfree(1, 9) == []
     with pytest.raises(ValueError, match="differ"):
         common_neighbors_equal_sqfree(1, 3)
+
+
+def test_common_neighbors_equal_sqfree_leaves_the_sieve_unbuilt(monkeypatch):
+    # a small pair takes g from the sieve-free split, as divisors does
+    monkeypatch.setattr(numtheory, "_spf_table", None)
+    assert common_neighbors_equal_sqfree(3, 12) == []
+    assert common_neighbors_equal_sqfree(1, 16) == [3]
+    assert numtheory._spf_table is None
 
 
 def test_common_neighbors_equal_sqfree_matches_bounded():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -210,6 +211,40 @@ def test_graph_doc_round_trip(tmp_path):
     text1 = path.read_text()
     save_graph_file(build_range(50), path)
     assert path.read_text() == text1
+
+
+def test_graph_file_is_one_compact_line(tmp_path):
+    g = build_range(200)
+    path = tmp_path / "g.json"
+    save_graph_file(g, path)
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text)["schema_version"] == 2
+    assert text == json.dumps(graph_to_doc(g)) + "\n"
+    save_graph_file(build_range(200), path)
+    assert path.read_text() == text
+
+
+def test_version_1_indented_file_still_loads(tmp_path):
+    g = build_range(200)
+    doc = {**graph_to_doc(g), "schema_version": 1}
+    path = tmp_path / "v1.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    assert load_graph_file(path) == g
+
+
+def test_graph_doc_schema_version():
+    doc = graph_to_doc(build_range(8))
+    del doc["schema_version"]
+    assert graph_from_doc(doc) == build_range(8)
+    for version in (0, 3, "2", None, True):
+        doc["schema_version"] = version
+        with pytest.raises(ValueError, match=f"schema_version {version!r}"):
+            graph_from_doc(doc)
+    with pytest.raises(ValueError, match="not a JSON object"):
+        graph_from_doc([1, 2])
 
 
 def test_graph_doc_rejects_fake_edges():
