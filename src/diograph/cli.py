@@ -257,8 +257,7 @@ def _cmd_hamilton(cfg: CommandConfig) -> int:
 
 
 def _cmd_represent(cfg: CommandConfig) -> int:
-    with open(cfg.params["graph_file"], encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = graph.read_json_file(cfg.params["graph_file"])
     try:
         vertices = doc["vertices"]
         edges = [tuple(e) for e in doc["edges"]]

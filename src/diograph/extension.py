@@ -26,7 +26,6 @@ from .numtheory import (
     is_square,
     iter_primes,
     same_square_free_part,
-    square_free_part,
 )
 from .pell import PellInstance, PellUnit, fundamental_unit, unit_order_mod
 
@@ -341,8 +340,9 @@ def common_neighbors_equal_sqfree(a: int, b: int) -> list[int]:
     """All w >= 1 adjacent to both a and b when a and b share a
     square-free part.  Exact and finite, no search bound.
 
-    With a = g*alpha^2, b = g*beta^2 and A = beta/delta, B = alpha/delta
-    (delta = gcd), the squares a*w + 1 = r^2, b*w + 1 = t^2 force
+    With a = g*alpha^2, b = g*beta^2, A/B = beta/alpha in lowest terms,
+    which is isqrt(a*b)/a (a*b = (g*alpha*beta)^2), so neither a nor b
+    is factored.  The squares a*w + 1 = r^2, b*w + 1 = t^2 force
     (A*r)^2 - (B*t)^2 = A^2 - B^2, a fixed nonzero difference, so all
     solutions come from its divisor pairs.  The divisors come from a
     factorization of |A^2 - B^2|, so the run time is bounded: a difference
@@ -356,11 +356,9 @@ def common_neighbors_equal_sqfree(a: int, b: int) -> list[int]:
         raise ValueError(
             "square-free parts differ; use common_neighbors_bounded instead"
         )
-    g = square_free_part(a)
-    alpha = isqrt(a // g)
-    beta = isqrt(b // g)
-    delta = gcd(alpha, beta)
-    A, B = beta // delta, alpha // delta
+    root = isqrt(a * b)
+    delta = gcd(root, a)
+    A, B = root // delta, a // delta
     diff = A * A - B * B
     out: set[int] = set()
     for p in divisors(abs(diff)):

@@ -17,8 +17,10 @@ falls back to pairwise testing.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "induced",
     "load_graph_file",
     "load_witness_file",
+    "read_json_file",
     "remove_vertex",
     "save_graph_file",
     "save_witness_file",
@@ -66,14 +69,74 @@ class WitnessFileError(ValueError):
     """Malformed witness file; the message carries the offending line."""
 
 
-@dataclass
 class DiophGraph:
     """Finite graph on distinct positive integers under the shifted-square
-    relation.  `vertices` is sorted; adjacency lists are sorted tuples."""
+    relation.
 
-    vertices: tuple[int, ...]
-    adjacency: dict[int, tuple[int, ...]]
-    shift: int = 1
+    The adjacency is held as compressed sparse rows over vertex
+    positions: `vertices` is the sorted tuple of labels (Python ints, so
+    labels of any size work), and the neighbors of vertices[i] are the
+    labels at positions indices[indptr[i]:indptr[i + 1]], ascending.
+    Both arrays are read-only int64.  `adjacency` is a read-only mapping
+    from each label to the sorted tuple of its neighbors' labels.
+
+    `DiophGraph(vertices, adjacency, shift)` builds a graph from any
+    mapping of each vertex to its neighbors, which must be symmetric and
+    loop-free."""
+
+    __slots__ = ("vertices", "shift", "indptr", "indices", "_index")
+    __hash__ = None  # equal graphs compare equal; they are not hashed
+
+    def __init__(self, vertices, adjacency, shift: int = 1):
+        vs = tuple(sorted(vertices))
+        n = len(vs)
+        pos = {v: i for i, v in enumerate(vs)}
+        if len(pos) != n or len(adjacency) != n:
+            raise ValueError("adjacency must map each distinct vertex to its neighbors")
+        try:
+            nbrs = [[pos[u] for u in adjacency[v]] for v in vs]
+        except KeyError as exc:
+            raise ValueError(f"adjacency and vertices disagree on {exc}") from None
+        rows = np.repeat(np.arange(n, dtype=np.int64), [len(nb) for nb in nbrs])
+        cols = np.array([j for nb in nbrs for j in nb], dtype=np.int64)
+        keys = np.sort(rows * n + cols)
+        if (
+            np.any(rows == cols)
+            or np.any(keys[1:] == keys[:-1])
+            or not np.array_equal(keys, np.sort(cols * n + rows))
+        ):
+            raise ValueError(
+                "adjacency must be symmetric, loop-free and list each neighbor once"
+            )
+        self._store(vs, *_csr_arrays(keys, n), shift)
+
+    def _store(self, vs: tuple, indptr: np.ndarray, indices: np.ndarray, shift: int) -> None:
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self.vertices = vs
+        self.indptr = indptr
+        self.indices = indices
+        self.shift = shift
+        self._index = None  # label -> position, built on the first lookup
+
+    @classmethod
+    def _from_csr(cls, vs: tuple, indptr: np.ndarray, indices: np.ndarray, shift: int):
+        G = cls.__new__(cls)
+        G._store(vs, indptr, indices, shift)
+        return G
+
+    @classmethod
+    def _from_pairs(cls, vs: tuple, lo: np.ndarray, hi: np.ndarray, shift: int):
+        """Graph on the sorted labels `vs` whose edges join the positions
+        lo[k] and hi[k]: distinct pairs of distinct positions."""
+        n, m = len(vs), len(lo)
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(lo, n, out=keys[:m])
+        keys[:m] += hi
+        np.multiply(hi, n, out=keys[m:])
+        keys[m:] += lo
+        keys.sort()
+        return cls._from_csr(vs, *_csr_arrays(keys, n), shift)
 
     @property
     def n(self) -> int:
@@ -81,28 +144,105 @@ class DiophGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
+        return len(self.indices) // 2
+
+    @property
+    def adjacency(self) -> "_AdjacencyView":
+        return _AdjacencyView(self)
+
+    def _position(self, v: int) -> int:
+        if self._index is None:
+            self._index = {u: i for i, u in enumerate(self.vertices)}
+        return self._index[v]
+
+    def _degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def _rows(self) -> np.ndarray:
+        """The row position of every adjacency entry."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self._degrees())
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        i = self._position(v)
+        row = self.indices[self.indptr[i] : self.indptr[i + 1]].tolist()
+        return tuple(map(self.vertices.__getitem__, row))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        i = self._position(v)
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def has_edge(self, a: int, b: int) -> bool:
-        if a not in self.adjacency or b not in self.adjacency:
+        try:
+            i, j = self._position(a), self._position(b)
+        except (KeyError, TypeError):
             return False
-        small, other = (a, b) if len(self.adjacency[a]) <= len(self.adjacency[b]) else (b, a)
-        return other in self.adjacency[small]
+        row = self.indices[self.indptr[i] : self.indptr[i + 1]]
+        k = int(np.searchsorted(row, j))
+        return k < len(row) and int(row[k]) == j
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (a, b) with a < b, lexicographically sorted."""
-        out = []
-        for a in self.vertices:
-            for b in self.adjacency[a]:
-                if b > a:
-                    out.append((a, b))
-        return out
+        """All edges as (a, b) with a < b, lexicographically sorted.  The
+        pairs hold the label objects of `vertices`, not copies."""
+        rows = self._rows()
+        upper = self.indices > rows
+        vs = self.vertices
+        return list(zip(
+            map(vs.__getitem__, rows[upper].tolist()),
+            map(vs.__getitem__, self.indices[upper].tolist()),
+        ))
+
+    def __eq__(self, other):
+        if not isinstance(other, DiophGraph):
+            return NotImplemented
+        return (
+            self.shift == other.shift
+            and self.vertices == other.vertices
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def __repr__(self) -> str:
+        return f"DiophGraph(n={self.n}, e={self.edge_count}, shift={self.shift})"
+
+
+class _AdjacencyView(Mapping):
+    """Read-only label -> sorted neighbor-label tuple view of a graph."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: DiophGraph):
+        self._graph = graph
+
+    def __getitem__(self, v: int) -> tuple[int, ...]:
+        return self._graph.neighbors(v)
+
+    def __contains__(self, v) -> bool:
+        try:
+            self._graph._position(v)
+        except (KeyError, TypeError):
+            return False
+        return True
+
+    def __iter__(self):
+        return iter(self._graph.vertices)
+
+    def __len__(self) -> int:
+        return self._graph.n
+
+
+def _csr_arrays(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and indices of the n-row adjacency whose entries are the
+    sorted keys row * n + column; `keys` becomes the indices."""
+    indptr = _indptr(keys // max(n, 1), n)
+    keys %= max(n, 1)
+    return indptr, keys
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row pointers of n rows from the sorted row of every entry."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def edge_test(a: int, b: int, shift: int = 1) -> bool:
@@ -124,46 +264,43 @@ def _validate_vertices(values) -> list[int]:
     return vs
 
 
-def _pairwise_adjacency(vs: list[int], shift: int) -> dict[int, list[int]]:
-    """Test all pairs directly.  Vectorized per row when products stay in
-    the exact float64 range; pure Python otherwise."""
-    vs = sorted(vs)
-    adj: dict[int, list[int]] = {v: [] for v in vs}
+def _is_square_array(prod: np.ndarray) -> np.ndarray:
+    """Perfect-square mask of int64 values below _NUMPY_SQUARE_LIMIT,
+    where the float64 square root is exact."""
+    roots = np.rint(np.sqrt(prod.astype(np.float64))).astype(np.int64)
+    return roots * roots == prod
+
+
+def _pairwise_edges(vs: tuple[int, ...], shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (lo, hi), lo < hi, of every edge among the sorted labels
+    `vs`, in lexicographic order.  All pairs are tested directly:
+    vectorized per row when products stay in the exact float64 range,
+    pure Python otherwise."""
     n = len(vs)
-    use_numpy = (
-        n >= _NUMPY_MIN_VERTICES
-        and n >= 2
-        and vs[-1] * vs[-2] + shift < _NUMPY_SQUARE_LIMIT
-    )
-    if use_numpy:
+    if n >= _NUMPY_MIN_VERTICES and vs[-1] * vs[-2] + shift < _NUMPY_SQUARE_LIMIT:
         arr = np.array(vs, dtype=np.int64)
-        for i in range(n - 1):
-            rest = arr[i + 1 :]
-            prod = arr[i] * rest + shift
-            roots = np.rint(np.sqrt(prod.astype(np.float64))).astype(np.int64)
-            hits = rest[roots * roots == prod]
-            a = int(arr[i])
-            for b in hits:
-                b = int(b)
-                adj[a].append(b)
-                adj[b].append(a)
-    else:
-        for i in range(n - 1):
-            a = vs[i]
-            for b in vs[i + 1 :]:
-                if is_square(a * b + shift):
-                    adj[a].append(b)
-                    adj[b].append(a)
-    return adj
+        his = [
+            np.flatnonzero(_is_square_array(arr[i] * arr[i + 1 :] + shift)) + (i + 1)
+            for i in range(n - 1)
+        ]
+        counts = [len(h) for h in his]
+        return np.repeat(np.arange(n - 1, dtype=np.int64), counts), np.concatenate(his)
+    pairs = [
+        (i, j)
+        for i in range(n - 1)
+        for j in range(i + 1, n)
+        if is_square(vs[i] * vs[j] + shift)
+    ]
+    both = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return both[:, 0], both[:, 1]
 
 
 def build_set(values, shift: int = 1) -> DiophGraph:
     """Graph on an explicit vertex set, pairwise tested."""
     if shift < 1:
         raise ValueError(f"shift must be positive, got {shift}")
-    vs = sorted(_validate_vertices(values))
-    adj = _pairwise_adjacency(vs, shift)
-    return DiophGraph(tuple(vs), {v: tuple(sorted(nb)) for v, nb in adj.items()}, shift)
+    vs = tuple(sorted(_validate_vertices(values)))
+    return DiophGraph._from_pairs(vs, *_pairwise_edges(vs, shift), shift)
 
 
 def _root_classes(N: int):
@@ -181,25 +318,23 @@ def _root_classes(N: int):
 
 
 def build_range(N: int, shift: int = 1) -> DiophGraph:
-    """Graph on {1..N}.  At shift 1 each vertex's neighbors above it are
-    swept from its root classes; other shifts fall back to pairwise
-    testing."""
+    """Graph on {1..N}.  At shift 1 every root class is expanded into its
+    multipliers r = r0, r0 + a, ..., and each gives the edge
+    (a, (r^2 - 1)/a); other shifts fall back to pairwise testing."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if shift != 1:
         return build_set(range(1, N + 1), shift)
-    adj: dict[int, list[int]] = {v: [] for v in range(1, N + 1)}
-    for a, r, rmax in _root_classes(N):
-        nb = adj[a]
-        while r <= rmax:
-            b = (r * r - 1) // a
-            nb.append(b)
-            adj[b].append(a)
-            r += a
-    # candidates from different root classes of the same vertex interleave
-    return DiophGraph(
-        tuple(range(1, N + 1)), {v: tuple(sorted(nb)) for v, nb in adj.items()}, 1
-    )
+    classes = np.fromiter(chain.from_iterable(_root_classes(N)), dtype=np.int64)
+    a, r0, rmax = classes.reshape(-1, 3).T
+    counts = (rmax - r0) // a + 1
+    a = np.repeat(a, counts)
+    # r counts up from r0 in steps of a within each class; r <= N + 1, so
+    # r*r stays inside int64 for every N whose graph fits in memory
+    step = np.arange(len(a), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    r = np.repeat(r0, counts) + a * step
+    b = (r * r - 1) // a
+    return DiophGraph._from_pairs(tuple(range(1, N + 1)), a - 1, b - 1, 1)
 
 
 def range_edge_count(N: int) -> int:
@@ -220,77 +355,92 @@ class GraphStats:
     components: int
 
 
-class _CapHit(Exception):
-    def __init__(self, clique: list[int]):
-        self.clique = clique
-
-
 def _clique_number(G: DiophGraph, cap: int = 5) -> int:
     """Largest clique size, searched exhaustively up to `cap`.
+
+    Every edge is oriented from the endpoint of smaller (degree, label)
+    to the other (Chiba & Nishizeki 1985), so each clique is found once,
+    from its first vertex, inside that vertex's forward neighbors, and
+    the forward sets stay small (at most 25 on {1..10^5}).
 
     At shift 1 a clique of size `cap` (= 5) contradicts the nonexistence
     of Diophantine quintuples, so hitting it raises GraphDefectError.
     """
-    if G.n == 0:
+    n = G.n
+    if n == 0:
         return 0
-    adj = {v: set(nb) for v, nb in G.adjacency.items()}
-    best = [1]
-
-    def extend(clique: list[int], cands: set[int]) -> None:
-        if len(clique) > best[0]:
-            best[0] = len(clique)
-            if best[0] >= cap:
-                raise _CapHit(list(clique))
-        if len(clique) + len(cands) <= best[0]:
-            return
-        for u in sorted(cands):
-            extend(clique + [u], {w for w in cands & adj[u] if w > u})
-
-    try:
-        for v in G.vertices:
-            extend([v], {w for w in adj[v] if w > v})
-    except _CapHit as hit:
-        if G.shift == 1:
-            raise GraphDefectError(
-                f"{cap}-clique found at shift 1: {sorted(hit.clique)}"
-            ) from None
-        return cap
-    return best[0]
+    deg = G._degrees()
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int64)
+    rows = G._rows()
+    forward = rank[G.indices] > rank[rows]
+    fptr = _indptr(rows[forward], n).tolist()
+    fl = G.indices[forward].tolist()
+    fwd = list(map(frozenset, map(fl.__getitem__, map(slice, fptr[:-1], fptr[1:]))))
+    best = 1
+    for v, cands in enumerate(fwd):
+        if len(cands) < best:
+            continue
+        # depth-first: each frame is (clique, its common candidates, the
+        # candidates not yet tried)
+        stack = [([v], cands, iter(cands))]
+        while stack:
+            clique, cands, untried = stack[-1]
+            u = next(untried, None)
+            if u is None:
+                stack.pop()
+                continue
+            grown, common = clique + [u], cands & fwd[u]
+            if len(grown) > best:
+                best = len(grown)
+                if best >= cap:
+                    if G.shift == 1:
+                        labels = sorted(G.vertices[i] for i in grown)
+                        raise GraphDefectError(f"{cap}-clique found at shift 1: {labels}")
+                    return cap
+            if len(grown) + len(common) > best:
+                stack.append((grown, common, iter(common)))
+    return best
 
 
 def _component_count(G: DiophGraph) -> int:
-    seen: set[int] = set()
-    count = 0
-    for v in G.vertices:
-        if v in seen:
-            continue
-        count += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in G.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
+    """Connected components by min-label propagation: every vertex takes
+    the smallest label among itself and its neighbors, then labels are
+    followed to their fixpoint (pointer jumping).  Labels only fall and
+    stay inside a component, so at the fixpoint each component carries
+    the position of its smallest vertex."""
+    n = G.n
+    label = np.arange(n, dtype=np.int64)
+    linked = G._degrees() > 0
+    starts = G.indptr[:-1][linked]
+    while True:
+        new = label.copy()
+        if len(starts):
+            new[linked] = np.minimum(
+                new[linked], np.minimum.reduceat(label[G.indices], starts)
+            )
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            return int(np.count_nonzero(label == np.arange(n)))
+        label = new
 
 
 def stats(G: DiophGraph) -> GraphStats:
     """Exact counts; the clique search is exhaustive up to size 5."""
     n = G.n
     e = G.edge_count
-    hist: dict[int, int] = {}
-    for v in G.vertices:
-        d = G.degree(v)
-        hist[d] = hist.get(d, 0) + 1
     if G.shift == 1 and 8 * e > 3 * n * n:
         raise GraphDefectError(f"edge bound violated: e={e} > (3/8)*{n}^2")
+    hist = np.bincount(G._degrees()).tolist()
     return GraphStats(
         n=n,
         e=e,
         density=Fraction(e, n) if n else Fraction(0),
-        degree_histogram=dict(sorted(hist.items())),
+        degree_histogram={d: c for d, c in enumerate(hist) if c},
         clique_number=_clique_number(G),
         components=_component_count(G),
     )
@@ -317,8 +467,7 @@ def degree_bound_check(G: DiophGraph) -> DegreeBoundReport:
     violations = []
     max_ratio = 0.0
     argmax = 1
-    for a in G.vertices:
-        deg = G.degree(a)
+    for a, deg in zip(G.vertices, G._degrees().tolist()):
         pow4 = 4 ** factorize(a).omega
         # deg <= 8*sqrt(N/a)*2^omega  <=>  deg^2 * a <= 64 * N * 4^omega
         if deg * deg * a > 64 * N * pow4:
@@ -336,15 +485,24 @@ def degree_bound_check(G: DiophGraph) -> DegreeBoundReport:
     )
 
 
+def _restrict(G: DiophGraph, keep: np.ndarray) -> DiophGraph:
+    """The subgraph induced on the positions `keep` marks.  Renumbering
+    keeps the order, so the entries stay sorted."""
+    rows = G._rows()
+    kept = keep[rows] & keep[G.indices]
+    renumber = np.cumsum(keep) - 1
+    vs = tuple(v for v, k in zip(G.vertices, keep.tolist()) if k)
+    return DiophGraph._from_csr(
+        vs, _indptr(renumber[rows[kept]], len(vs)), renumber[G.indices[kept]], G.shift
+    )
+
+
 def remove_vertex(G: DiophGraph, v: int) -> DiophGraph:
     if v not in G.adjacency:
         raise ValueError(f"vertex {v} not in graph")
-    adj = {
-        u: tuple(w for w in nb if w != v)
-        for u, nb in G.adjacency.items()
-        if u != v
-    }
-    return DiophGraph(tuple(u for u in G.vertices if u != v), adj, G.shift)
+    keep = np.ones(G.n, dtype=bool)
+    keep[G._position(v)] = False
+    return _restrict(G, keep)
 
 
 def induced(G: DiophGraph, subset) -> DiophGraph:
@@ -352,12 +510,7 @@ def induced(G: DiophGraph, subset) -> DiophGraph:
     if not keep <= set(G.vertices):
         extra = sorted(keep - set(G.vertices))
         raise ValueError(f"subset contains non-vertices: {extra}")
-    adj = {
-        u: tuple(w for w in nb if w in keep)
-        for u, nb in G.adjacency.items()
-        if u in keep
-    }
-    return DiophGraph(tuple(v for v in G.vertices if v in keep), adj, G.shift)
+    return _restrict(G, np.fromiter((v in keep for v in G.vertices), dtype=bool, count=G.n))
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +552,88 @@ def save_witness_file(values, path, comment: str | None = None) -> None:
 
 
 def graph_to_doc(G: DiophGraph) -> dict:
-    """Deterministic document: n, shift, sorted vertices, sorted edges."""
+    """Deterministic document: n, shift, sorted vertices, sorted edges
+    (as (a, b) pairs, which JSON writes as arrays)."""
     return {
         "schema_version": GRAPH_SCHEMA_VERSION,
         "n": G.n,
         "shift": G.shift,
         "vertices": list(G.vertices),
-        "edges": [[a, b] for a in G.vertices for b in G.adjacency[a] if b > a],
+        "edges": G.edges(),
     }
+
+
+def _listed_edge_positions(
+    vs: tuple[int, ...], edges, shift: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (lo, hi), lo < hi, of a document's listed edges, checked
+    in one pass: both ends are vertices, distinct, a*b + shift is a
+    square, and no edge is listed twice.  The square test is vectorized
+    where the product stays in the exact float64 range and exact
+    (`is_square`) elsewhere, including labels beyond int64."""
+    n = len(vs)
+    labels = None if vs and vs[-1] >= 1 << 63 else np.array(vs, dtype=np.int64)
+    try:
+        ends = np.array(edges, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        ends = None
+    if ends is not None and ends.shape == (0,):
+        ends = ends.reshape(0, 2)
+    if labels is not None and ends is not None and ends.ndim == 2 and ends.shape[1] == 2:
+        pos = np.searchsorted(labels, ends)
+        known = np.all(pos < n, axis=1)
+        pos[~known] = 0
+        known &= np.all(labels[pos] == ends, axis=1)
+        a, b = ends[:, 0], ends[:, 1]
+        # a*b + shift < limit, tested without forming a product that may wrap
+        small = known & (a <= max(_NUMPY_SQUARE_LIMIT - shift - 1, -1) // np.maximum(b, 1))
+        real = np.zeros(len(ends), dtype=bool)
+        if small.any():  # else shift itself may leave int64
+            real[small] = _is_square_array(a[small] * b[small] + shift)
+        exact = known & ~small
+    else:
+        index = {v: i for i, v in enumerate(vs)}
+        try:
+            ends = [(int(a), int(b)) for a, b in edges]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed graph document: {exc}") from None
+        pos = np.array(
+            [(index.get(a, -1), index.get(b, -1)) for a, b in ends], dtype=np.int64
+        ).reshape(-1, 2)
+        known = np.all(pos >= 0, axis=1)
+        pos[~known] = 0
+        real = np.zeros(len(ends), dtype=bool)
+        exact = known
+    for k in np.flatnonzero(exact).tolist():
+        i, j = pos[k].tolist()
+        real[k] = is_square(vs[i] * vs[j] + shift)
+    real &= pos[:, 0] != pos[:, 1]
+    bad = np.flatnonzero(~(known & real))
+    if len(bad):
+        a, b = (int(x) for x in ends[bad[0]])
+        if not known[bad[0]]:
+            raise ValueError(f"edge ({a}, {b}) uses unknown vertices")
+        raise ValueError(f"({a}, {b}) is not an edge at shift {shift}")
+    lo, hi = pos.min(axis=1), pos.max(axis=1)
+    keys = np.sort(lo * n + hi)
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(twice):
+        i, j = divmod(int(keys[twice[0]]), n)
+        raise ValueError(f"edge ({vs[i]}, {vs[j]}) is listed twice")
+    return lo, hi
 
 
 def graph_from_doc(doc: dict) -> DiophGraph:
     """Rebuild a graph from its document, validating structure, a positive
     shift, the square property of every listed edge and that no edge is
     listed twice.  A `schema_version` other than 1 or 2 is rejected; a
-    document without one loads."""
+    document without one loads.
+
+    A Diophantine graph is fixed by its vertex set, so a document must
+    list every edge.  Listed edges are checked real and distinct, so the
+    document is complete exactly when it lists as many edges as the
+    pairwise test finds; that count is checked for every vertex set
+    except {1..N}."""
     if not isinstance(doc, dict):
         raise ValueError("malformed graph document: not a JSON object")
     version = doc.get("schema_version", 1)
@@ -425,7 +645,7 @@ def graph_from_doc(doc: dict) -> DiophGraph:
     try:
         shift = int(doc["shift"])
         vertices = _validate_vertices(doc["vertices"])
-        edges = [(int(a), int(b)) for a, b in doc["edges"]]
+        edges = doc["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from None
     if shift < 1:
@@ -434,22 +654,16 @@ def graph_from_doc(doc: dict) -> DiophGraph:
         raise ValueError(
             f"graph document claims n={doc['n']} but lists {len(vertices)} vertices"
         )
-    adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
-    for a, b in edges:
-        na, nb = adj.get(a), adj.get(b)
-        if na is None or nb is None:
-            raise ValueError(f"edge ({a}, {b}) uses unknown vertices")
-        # edge_test without its argument checks, which hold here
-        if a == b or not is_square(a * b + shift):
-            raise ValueError(f"({a}, {b}) is not an edge at shift {shift}")
-        na.append(b)
-        nb.append(a)
-    adjacency = {v: tuple(sorted(nb)) for v, nb in adj.items()}
-    for a, nb in adjacency.items():
-        if len(set(nb)) != len(nb):
-            b = next(u for u, w in zip(nb, nb[1:]) if u == w)
-            raise ValueError(f"edge ({min(a, b)}, {max(a, b)}) is listed twice")
-    return DiophGraph(tuple(sorted(vertices)), adjacency, shift)
+    vs = tuple(sorted(vertices))
+    lo, hi = _listed_edge_positions(vs, edges, shift)
+    if vs and vs[-1] != len(vs):  # not {1..N}
+        want = len(_pairwise_edges(vs, shift)[0])
+        if len(lo) != want:
+            raise ValueError(
+                f"graph document lists {len(lo)} of the {want} edges of its "
+                f"vertex set at shift {shift}"
+            )
+    return DiophGraph._from_pairs(vs, lo, hi, shift)
 
 
 def save_graph_file(G: DiophGraph, path) -> None:
@@ -461,15 +675,20 @@ def save_graph_file(G: DiophGraph, path) -> None:
         fh.write("\n")
 
 
-def load_graph_file(path) -> DiophGraph:
+def read_json_file(path):
+    """Parse a JSON file; invalid JSON is a ValueError naming
+    `path:line:column`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             ) from None
-    return graph_from_doc(doc)
+
+
+def load_graph_file(path) -> DiophGraph:
+    return graph_from_doc(read_json_file(path))
 
 
 def write_edge_list(G: DiophGraph, path) -> None:

@@ -104,6 +104,18 @@ def test_truncated_graph_file_exits_2_with_position(capsys, tmp_path):
     assert f"{gf}:1:{len(text) - 20 + 1}: invalid JSON" in err
 
 
+def test_incomplete_graph_file_exits_2(capsys, tmp_path):
+    from diograph import graph
+
+    doc = graph.graph_to_doc(graph.build_set(FIVE_CHROMATIC_WITNESS))
+    del doc["edges"][-40:]
+    gf = tmp_path / "cut.json"
+    gf.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
+    assert code == 2 and out == ""
+    assert "edges of its vertex set" in err
+
+
 def test_prune_out_round_trips(capsys, tmp_path):
     from diograph import analysis, graph
 
@@ -182,6 +194,18 @@ def test_neighbors_exact_large_pair_is_quick(capsys):
         assert is_square(3 * w + 1) and is_square(3 * 10**18 * w + 1)
 
 
+def test_neighbors_exact_needs_no_factorization_of_a(capsys):
+    # a = p*q (p ~ 10^15, q ~ 2*10^15), b = 4a: A/B = 2, |A^2 - B^2| = 3
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "neighbors", "--set",
+        "2000000000000095000000000000777,8000000000000380000000000003108",
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out)["neighbors"] == []
+
+
 def test_neighbors_exact(capsys):
     code, out, _ = run_cli(capsys, "neighbors", "--set", "1,16")
     assert code == 0
@@ -242,6 +266,14 @@ def test_represent_command(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["status"] == "found"
     assert len(doc["witness"]) == 4
+
+
+def test_truncated_represent_target_exits_2_with_position(capsys, tmp_path):
+    tf = tmp_path / "target.json"
+    tf.write_text('{"vertices": [0, 1, 2],\n"edges": [[0, 1]', encoding="utf-8")
+    code, out, err = run_cli(capsys, "represent", "--graph-file", str(tf))
+    assert code == 2 and out == ""
+    assert f"{tf}:2:" in err and "invalid JSON" in err
 
 
 def test_rank_command(capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from diograph.graph import (
     DiophGraph,
+    _clique_number,
+    _component_count,
     GraphDefectError,
     WitnessFileError,
     build_range,
@@ -316,3 +318,194 @@ def test_edge_bound_defect_fires():
     adj = {v: tuple(u for u in vs if u != v) for v in vs}
     with pytest.raises(GraphDefectError, match="edge bound"):
         stats(DiophGraph(vs, adj, 1))
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations for the array paths
+# ---------------------------------------------------------------------------
+
+
+def clique_number_by_label(G, cap=5):
+    """Reference clique search: label order, no orientation, sets of
+    labels; a clique of size `cap` returns `cap` (the tripwire is the
+    caller's)."""
+    if G.n == 0:
+        return 0
+    adj = {v: set(nb) for v, nb in G.adjacency.items()}
+    best = [1]
+
+    def extend(clique, cands):
+        if len(clique) > best[0]:
+            best[0] = len(clique)
+            if best[0] >= cap:
+                raise StopIteration
+        if len(clique) + len(cands) <= best[0]:
+            return
+        for u in sorted(cands):
+            extend(clique + [u], {w for w in cands & adj[u] if w > u})
+
+    try:
+        for v in G.vertices:
+            extend([v], {w for w in adj[v] if w > v})
+    except StopIteration:
+        return cap
+    return best[0]
+
+
+def component_count_bfs(G):
+    """Reference component count: depth-first search over labels."""
+    seen = set()
+    count = 0
+    for v in G.vertices:
+        if v in seen:
+            continue
+        count += 1
+        stack = [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            for w in G.adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def abstract_graph(n, edges, shift=10**9):
+    adj = {v: [] for v in range(1, n + 1)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return DiophGraph(tuple(adj), adj, shift)
+
+
+def assert_matches_references(G):
+    assert _clique_number(G) == clique_number_by_label(G)
+    assert _component_count(G) == component_count_bfs(G)
+
+
+@pytest.mark.parametrize("N", [300, 2000])
+def test_clique_and_components_match_references_on_ranges(N):
+    assert_matches_references(build_range(N))
+
+
+def test_clique_and_components_match_references_on_sets():
+    rng = random.Random(11)
+    for _ in range(30):
+        assert_matches_references(build_set(rng.sample(range(1, 5000), 200)))
+
+
+def test_clique_and_components_match_references_on_abstract_graphs():
+    rng = random.Random(12)
+    k5 = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+    graphs = [
+        abstract_graph(1, []),
+        abstract_graph(7, []),
+        abstract_graph(6, k5),  # K5 plus an isolated vertex: the cap
+        abstract_graph(9, k5 + [(6, 7), (7, 8), (8, 9), (9, 6)]),
+        abstract_graph(12, [(i, i + 1) for i in range(1, 12)]),  # a path
+    ]
+    for _ in range(20):
+        n = rng.randrange(5, 40)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        graphs.append(abstract_graph(n, rng.sample(pairs, rng.randrange(len(pairs) // 3))))
+    for G in graphs:
+        assert_matches_references(G)
+    assert _clique_number(graphs[2]) == 5
+    assert stats(graphs[2]).clique_number == 5  # abstract: no tripwire
+
+
+def test_networkx_oracle_on_range_2000():
+    nx = pytest.importorskip("networkx")
+    G = build_range(2000)
+    H = nx.Graph()
+    H.add_nodes_from(G.vertices)
+    H.add_edges_from(G.edges())
+    s = stats(G)
+    assert s.clique_number == max(len(c) for c in nx.find_cliques(H))
+    assert s.components == nx.number_connected_components(H)
+
+
+def test_mapping_built_and_array_built_graphs_are_equal():
+    for g in (build_range(200), build_set(K5_MINUS_EDGE_WITNESS), build_range(1)):
+        mapped = DiophGraph(reversed(g.vertices), dict(g.adjacency), g.shift)
+        assert mapped == g and g == mapped
+        assert dict(mapped.adjacency) == dict(g.adjacency)
+    assert build_range(200) != build_range(201)
+    assert build_range(50) != build_range(50, shift=2)
+    assert build_range(8) != DiophGraph(range(1, 9), {v: () for v in range(1, 9)}, 1)
+
+
+def test_mapping_constructor_rejects_inconsistent_adjacency():
+    for vs, adj in (
+        ((1, 2), {1: (2,), 2: ()}),  # not symmetric
+        ((1, 2), {1: (1,), 2: ()}),  # loop
+        ((1, 2), {1: (2, 2), 2: (1, 1)}),  # repeated neighbor
+        ((1, 2), {1: (3,), 2: ()}),  # non-vertex
+        ((1, 2), {1: ()}),  # a vertex without a row
+    ):
+        with pytest.raises(ValueError):
+            DiophGraph(vs, adj, 1)
+
+
+def test_adjacency_view_is_read_only_mapping():
+    g = build_range(8)
+    assert 3 in g.adjacency and 9 not in g.adjacency and "x" not in g.adjacency
+    assert len(g.adjacency) == 8 and list(g.adjacency) == list(range(1, 9))
+    assert g.adjacency[3] == (1, 5, 8) and g.neighbors(3) == (1, 5, 8)
+    with pytest.raises(KeyError):
+        g.adjacency[9]
+    with pytest.raises(TypeError):
+        g.adjacency[3] = ()
+    assert g.has_edge(3, 8) and not g.has_edge(3, 4) and not g.has_edge(3, 99)
+
+
+def test_graph_doc_round_trip_with_labels_beyond_int64(tmp_path):
+    big = 2**66 - 1  # 1 * big + 1 = (2^33)^2
+    g = build_set([1, 3, 8, 120, big])
+    assert g.has_edge(1, big)
+    assert graph_from_doc(graph_to_doc(g)) == g
+    path = tmp_path / "big.json"
+    save_graph_file(g, path)
+    assert load_graph_file(path) == g
+    # fake edges whose a*b + 1 leaves int64 must meet the exact test: labels
+    # beyond int64, and int64 labels whose product 2^65 + 1 wraps to 1
+    for a, b in ((1, 2**66), (2**32, 2**33)):
+        doc = {"n": 2, "shift": 1, "vertices": [a, b], "edges": [[a, b]]}
+        with pytest.raises(ValueError, match="not an edge"):
+            graph_from_doc(doc)
+    real = {"n": 2, "shift": 1, "vertices": [1, 2**60 - 1], "edges": [[2**60 - 1, 1]]}
+    assert graph_from_doc(real).edges() == [(1, 2**60 - 1)]
+    shift = 2**70  # beyond int64; no pair of {1, 2, 3} is an edge at this shift
+    doc = {"n": 3, "shift": shift, "vertices": [1, 2, 3], "edges": []}
+    assert graph_from_doc(doc).edge_count == 0
+    doc["edges"] = [[2, 3]]
+    with pytest.raises(ValueError, match="not an edge"):
+        graph_from_doc(doc)
+
+
+def test_graph_doc_rejects_malformed_edges():
+    for edges in ([[1, 3, 8]], [[1]], [[None, 3]], [[1, "x"]], [[]], "13"):
+        doc = {"n": 8, "shift": 1, "vertices": list(range(1, 9)), "edges": edges}
+        with pytest.raises(ValueError):
+            graph_from_doc(doc)
+
+
+def test_graph_doc_rejects_unknown_vertices():
+    doc = graph_to_doc(build_range(8))
+    doc["edges"].append([8, 120])
+    with pytest.raises(ValueError, match=r"edge \(8, 120\) uses unknown vertices"):
+        graph_from_doc(doc)
+
+
+def test_incomplete_witness_document_is_rejected():
+    from diograph.coloring import chromatic_number
+    from diograph.witnesses import FIVE_CHROMATIC_WITNESS
+
+    g = build_set(FIVE_CHROMATIC_WITNESS)
+    doc = graph_to_doc(g)
+    assert chromatic_number(graph_from_doc(doc)) == 5
+    listed = len(doc["edges"])
+    del doc["edges"][-40:]
+    with pytest.raises(ValueError, match=f"lists {listed - 40} of the {listed} edges"):
+        graph_from_doc(doc)

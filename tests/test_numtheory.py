@@ -239,7 +239,8 @@ def test_factorize_budget_error(monkeypatch):
 def test_factorize_budget_error_through_cli(monkeypatch, capsys):
     monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1000)
     n = 1_000_000_007 * 1_000_000_009
-    code = main(["neighbors", "--set", f"{n},{4 * n}"])
+    # a = 1, b = (10^9 + 8)^2: |A^2 - B^2| = (10^9 + 8)^2 - 1 = n
+    code = main(["neighbors", "--set", f"1,{1_000_000_008 ** 2}"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
