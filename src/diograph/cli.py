@@ -260,14 +260,17 @@ def _cmd_represent(cfg: CommandConfig) -> int:
     doc = graph.read_json_file(cfg.params["graph_file"])
     try:
         vertices = doc["vertices"]
-        edges = [tuple(e) for e in doc["edges"]]
-    except (KeyError, TypeError) as exc:
+        edges = [(a, b) for a, b in doc["edges"]]
+        if not isinstance(vertices, list) or len({type(v) for v in vertices}) > 1:
+            raise TypeError("vertices must be an array of labels of one type")
+        hash(tuple(vertices))  # labels must be hashable
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed target document: {exc}") from None
     res = extension.represent_graph(
         vertices,
         edges,
-        node_budget=cfg.params["budget"],
-        pool_bound=cfg.params["pool"],
+        node_budget=_positive("budget", cfg.params["budget"]),
+        pool_bound=_positive("pool", cfg.params["pool"]),
     )
     out_doc = {
         "status": res.status,

@@ -16,18 +16,21 @@ factoring range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
 
 from .graph import build_set, edge_test
 from .numtheory import (
+    _crt_unit_roots,
+    _factorize_large,
     crt_combine,
     divisors,
     is_square,
     iter_primes,
     same_square_free_part,
 )
-from .pell import PellInstance, PellUnit, fundamental_unit, unit_order_mod
+from .pell import PellBudgetError, PellInstance, PellUnit, fundamental_unit, unit_order_mod
 
 __all__ = [
     "ExtensionRequest",
@@ -384,8 +387,12 @@ def common_neighbors_equal_sqfree(a: int, b: int) -> list[int]:
 
 
 def common_neighbors_bounded(S, bound: int) -> list[int]:
-    """All w <= bound adjacent to every element of S, found by walking
-    the square progression of the smallest element and filtering."""
+    """All w <= bound adjacent to every element of S, increasing.
+
+    With m the smallest element, m*w + 1 = r^2 puts r in a root class of
+    x^2 = 1 (mod m), so only those classes are walked and the other
+    elements filter.  m is split as `divisors` splits its input, so the
+    sieve is never built."""
     values = sorted(_validate_witness(S))
     if not values:
         raise ValueError("S must be nonempty")
@@ -394,14 +401,14 @@ def common_neighbors_bounded(S, bound: int) -> list[int]:
     m = values[0]
     rest = values[1:]
     sset = set(values)
+    rmax = isqrt(m * bound + 1)
     out = []
-    for r in range(2, isqrt(m * bound + 1) + 1):
-        w, rem = divmod(r * r - 1, m)
-        if rem or w < 1 or w > bound or w in sset:
-            continue
-        if all(is_square(v * w + 1) for v in rest):
-            out.append(w)
-    return out
+    for rho in _crt_unit_roots(_factorize_large(m).factors):
+        for r in range(rho, rmax + 1, m):
+            w = (r * r - 1) // m
+            if w >= 1 and w not in sset and all(is_square(v * w + 1) for v in rest):
+                out.append(w)
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -498,93 +505,75 @@ class RepresentResult:
     nodes_searched: int
 
 
-def _contains_k5(vertices: list, edge_set: set) -> bool:
-    if len(vertices) < 5:
-        return False
-    for combo in combinations(vertices, 5):
-        if all(
-            frozenset((u, v)) in edge_set for u, v in combinations(combo, 2)
-        ):
-            return True
-    return False
+def _positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _verify_mapping(vertices: list, edge_set: set, mapping: dict) -> bool:
-    for u, v in combinations(vertices, 2):
-        want = frozenset((u, v)) in edge_set
-        if edge_test(mapping[u], mapping[v]) != want:
-            return False
-    return True
+def _contains_k5(adj: list[int]) -> bool:
+    return any(
+        all(adj[u] >> v & 1 for u, v in combinations(combo, 2))
+        for combo in combinations(range(len(adj)), 5)
+    )
+
+
+def _verify_mapping(vertices: list, adj: list[int], mapping: dict) -> bool:
+    return all(
+        edge_test(mapping[vertices[i]], mapping[vertices[j]]) == bool(adj[i] >> j & 1)
+        for i, j in combinations(range(len(vertices)), 2)
+    )
 
 
 def _search_core(
-    vertices: list, edge_set: set, pool_bound: int, budget: list[int]
+    adj: list[int], core: list[int], pool_bound: int, budget: list[int]
 ) -> dict | None:
-    """Backtracking assignment of integers to a min-degree >= 3 core.
+    """Backtracking assignment of values in {1..pool_bound} to the target
+    positions `core` (bit j of adj[i] marks the edge ij): {position:
+    value} in search order, or None.
 
-    Vertices are ordered to maximize assigned neighbors; candidates for a
-    vertex with an assigned neighbor m come from m's square progression,
-    all filtered for full adjacency/non-adjacency consistency.
+    Positions are ordered to maximize assigned neighbors.  The candidates
+    are the pool neighbors of the smallest assigned neighbor's value, or
+    the whole pool without one, ascending.  Each costs one unit of
+    `budget` and is taken when it is in the allowed mask: unused, and
+    adjacent to exactly the assigned neighbors' values.
     """
-    order: list = []
-    remaining = set(vertices)
-    degree = {v: sum(1 for u in vertices if frozenset((u, v)) in edge_set) for v in vertices}
-    while remaining:
-        if order:
-            key = lambda v: (
-                -sum(1 for u in order if frozenset((u, v)) in edge_set),
-                -degree[v],
-                vertices.index(v),
-            )
-        else:
-            key = lambda v: (-degree[v], vertices.index(v))
-        nxt = min(remaining, key=key)
-        order.append(nxt)
-        remaining.discard(nxt)
+    core_mask = sum(1 << i for i in core)
+    order: list[int] = []
+    while len(order) < len(core):
+        placed = sum(1 << i for i in order)
+        order.append(min((i for i in core if i not in order), key=lambda i: (
+            -(adj[i] & placed).bit_count(), -(adj[i] & core_mask).bit_count(), i)))
+    # links[k][j]: whether the positions searched at depths j < k and k are adjacent
+    links = [[adj[v] >> u & 1 for u in order[:k]] for k, v in enumerate(order)]
+    values: list[int] = []
 
-    assignment: dict = {}
-    used: set[int] = set()
+    @cache
+    def neighbors(w: int) -> tuple[list[int], int]:
+        """w's neighbors in {1..pool_bound}, ascending, and their bitmask."""
+        ws = common_neighbors_bounded([w], pool_bound)
+        return ws, sum(1 << x for x in ws)
 
-    def candidates_for(v) -> list[int]:
-        anchors = [u for u in order if u in assignment and frozenset((u, v)) in edge_set]
-        if not anchors:
-            return list(range(1, pool_bound + 1))
-        m = min(assignment[u] for u in anchors)
-        cands = []
-        for r in range(2, isqrt(m * pool_bound + 1) + 1):
-            w, rem = divmod(r * r - 1, m)
-            if not rem and 1 <= w <= pool_bound:
-                cands.append(w)
-        return cands
-
-    def consistent(v, w: int) -> bool:
-        if w in used:
-            return False
-        for u, wu in assignment.items():
-            want = frozenset((u, v)) in edge_set
-            if wu == w or edge_test(wu, w) != want:
-                return False
-        return True
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
+    def backtrack(k: int) -> bool:
+        if k == len(order):
             return True
-        v = order[pos]
-        for w in candidates_for(v):
+        anchors = [w for w, linked in zip(values, links[k]) if linked]
+        cands = neighbors(min(anchors))[0] if anchors else range(1, pool_bound + 1)
+        allowed = -1  # every bit set
+        for w, linked in zip(values, links[k]):
+            mask = neighbors(w)[1]
+            allowed &= (mask if linked else ~mask) & ~(1 << w)
+        for w in cands:
             budget[0] -= 1
             if budget[0] <= 0:
                 return False
-            if consistent(v, w):
-                assignment[v] = w
-                used.add(w)
-                if backtrack(pos + 1):
+            if allowed >> w & 1:
+                values.append(w)
+                if backtrack(k + 1):
                     return True
-                del assignment[v]
-                used.discard(w)
+                values.pop()
         return False
 
     if backtrack(0):
-        return dict(assignment)
+        return dict(zip(order, values))
     return None
 
 
@@ -600,62 +589,62 @@ def represent_graph(
     Vertices of degree at most two are peeled recursively and rebuilt
     with the isolated/pendant/double extension generators; a leftover
     core of minimum degree three or more goes to a budgeted brute-force
-    search.  A target containing K5 is flagged as known impossible (no
-    Diophantine quintuples exist) and reported without searching.
+    search over {1..pool_bound}.  `nodes_searched` counts the candidates
+    tried; each open level of the search charges one more once the budget
+    runs out, so it can pass node_budget by up to the search depth.  A
+    target containing K5 is flagged as known impossible (no Diophantine
+    quintuples exist) and reported without searching.
     """
     verts = list(vertices)
     if len(verts) > 8:
         raise ValueError("representation search is limited to 8 vertices")
     if len(set(verts)) != len(verts):
         raise ValueError("duplicate target vertices")
-    edge_set = set()
+    if node_budget < 1 or pool_bound < 1:
+        raise ValueError("node_budget and pool_bound must be positive")
+    adj = [0] * len(verts)
     for a, b in edges:
         if a == b or a not in verts or b not in verts:
             raise ValueError(f"bad edge ({a}, {b})")
-        edge_set.add(frozenset((a, b)))
+        adj[verts.index(a)] |= 1 << verts.index(b)
+        adj[verts.index(b)] |= 1 << verts.index(a)
 
-    if _contains_k5(verts, edge_set):
+    if _contains_k5(adj):
         return RepresentResult("unknown", None, True, 0)
 
     # Peel min-degree <= 2 vertices, smallest label first on ties.
-    active = list(verts)
+    active = (1 << len(verts)) - 1
     peeled: list[tuple[object, list]] = []
     while active:
-        degs = {
-            v: [u for u in active if frozenset((u, v)) in edge_set] for v in active
-        }
-        low = [v for v in active if len(degs[v]) <= 2]
-        if not low:
+        degree = {i: (adj[i] & active).bit_count() for i in _positions(active)}
+        i = min(degree, key=lambda i: (degree[i], verts[i]))
+        if degree[i] > 2:
             break
-        v = min(low, key=lambda v: (len(degs[v]), v))
-        peeled.append((v, degs[v]))
-        active.remove(v)
+        peeled.append((verts[i], [verts[u] for u in _positions(adj[i] & active)]))
+        active &= ~(1 << i)
 
     nodes = [node_budget]
-    mapping: dict = {}
-    if active:
-        core = _search_core(active, edge_set, pool_bound, nodes)
-        if core is None:
-            return RepresentResult("unknown", None, False, node_budget - nodes[0])
-        mapping.update(core)
-
+    core = _search_core(adj, _positions(active), pool_bound, nodes)
+    searched = node_budget - nodes[0]
+    unknown = RepresentResult("unknown", None, False, searched)
+    if core is None:
+        return unknown
+    mapping = {verts[i]: w for i, w in core.items()}
     for v, nbrs in reversed(peeled):
-        values = [mapping[u] for u in mapping]
-        if len(nbrs) == 0:
-            w = extend_isolated(values, 1)[0]
-        elif len(nbrs) == 1:
-            w = extend_pendant(values, values.index(mapping[nbrs[0]]), 1)[0]
-        else:
-            wa, wb = mapping[nbrs[0]], mapping[nbrs[1]]
-            if same_square_free_part(wa, wb):
-                # Lemma's precondition broken by the core assignment;
-                # report honestly rather than claim a negative.
-                return RepresentResult("unknown", None, False, node_budget - nodes[0])
-            w = extend_double(values, values.index(wa), values.index(wb), 1)[0]
-        mapping[v] = w
+        values = tuple(mapping.values())
+        ends = [values.index(mapping[u]) for u in nbrs]
+        if len(ends) == 2 and same_square_free_part(mapping[nbrs[0]], mapping[nbrs[1]]):
+            # Lemma's precondition broken by the core assignment;
+            # report honestly rather than claim a negative.
+            return unknown
+        request = ExtensionRequest(values, ("isolated", "pendant", "double")[len(ends)], 1, *ends)
+        try:
+            mapping[v] = request.run()[0]
+        except PellBudgetError:
+            return unknown  # nor is a Pell period or unit order too long to compute
 
-    ok = _verify_mapping(verts, edge_set, mapping)
+    ok = _verify_mapping(verts, adj, mapping)
     witness = WitnessSet(tuple(mapping[v] for v in verts), dict(mapping), ok)
     if not ok:
         raise RuntimeError("constructed representation failed verification")
-    return RepresentResult("found", witness, False, node_budget - nodes[0])
+    return RepresentResult("found", witness, False, searched)

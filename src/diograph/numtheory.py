@@ -415,16 +415,22 @@ def unit_roots_mod(a: int) -> UnitRootsModA:
         raise ValueError(f"modulus must be positive, got {a}")
     if a == 1:
         return UnitRootsModA(1, (0,), 1)
+    roots = _crt_unit_roots(factorize(a).factors)
+    return UnitRootsModA(a, tuple(roots), len(roots))
+
+
+def _crt_unit_roots(factors: dict[int, int]) -> list[int]:
+    """The roots of x^2 = 1 modulo the product of p**e over `factors`,
+    increasing: the prime-power roots lifted one modulus at a time by CRT."""
     roots = [0]
     mod = 1
-    for p, e in factorize(a).factors.items():
+    for p, e in factors.items():
         pe = p**e
         inv = pow(mod, -1, pe)
         local = _prime_power_unit_roots(p, e)
         roots = [r + mod * (((s - r) * inv) % pe) for r in roots for s in local]
         mod *= pe
-    roots.sort()
-    return UnitRootsModA(a, tuple(roots), len(roots))
+    return sorted(roots)
 
 
 def count_unit_roots(a: int) -> int:

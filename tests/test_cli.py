@@ -276,6 +276,69 @@ def test_truncated_represent_target_exits_2_with_position(capsys, tmp_path):
     assert f"{tf}:2:" in err and "invalid JSON" in err
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--pool"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_represent_nonpositive_budget_or_pool_exits_2(capsys, tmp_path, flag, value):
+    tf = tmp_path / "target.json"
+    tf.write_text('{"vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2]]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "represent", "--graph-file", str(tf), flag, value)
+    assert code == 2 and out == ""
+    assert f"{flag} must be positive" in err
+
+
+@pytest.mark.parametrize("target", [
+    {"vertices": 5, "edges": []},
+    {"vertices": [[0], [1]], "edges": []},
+    {"vertices": [0, "a", 1, 2], "edges": []},
+    {"vertices": [0, 1, 2], "edges": [[0, 1, 2]]},
+    {"vertices": [0, 1, 2], "edges": [5]},
+    {"vertices": [0, 1, 2]},
+])
+def test_malformed_represent_target_exits_2(capsys, tmp_path, target):
+    tf = tmp_path / "target.json"
+    tf.write_text(json.dumps(target), encoding="utf-8")
+    code, out, err = run_cli(capsys, "represent", "--graph-file", str(tf))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed target document") and err.count("\n") == 1
+
+
+def test_represent_with_an_overlong_pell_period_is_unknown(capsys, tmp_path):
+    # every vertex peels; the sixth rebuild needs the unit of a 193-digit D
+    target = {
+        "vertices": [5, 14, 8, 0, 3, 10, 9],
+        "edges": [[5, 8], [5, 3], [5, 10], [14, 0], [14, 3], [14, 10], [14, 9],
+                  [8, 0], [8, 3], [3, 9]],
+    }
+    tf = tmp_path / "target.json"
+    tf.write_text(json.dumps(target), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--format", "json", "represent", "--graph-file", str(tf))
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["status"], doc["known_impossible"], doc["witness"]) == ("unknown", False, None)
+
+
+def test_extend_past_the_pell_step_budget_exits_2(capsys, tmp_path, monkeypatch):
+    from diograph import pell
+
+    monkeypatch.setattr(pell, "_PELL_STEP_BUDGET", 20)
+    wf = tmp_path / "pair.txt"
+    wf.write_text("13\n139\n", encoding="utf-8")  # D = 13 * 139, period 28
+    code, out, err = run_cli(capsys, "extend", "--witness-file", str(wf),
+                             "--mode", "double", "--i", "0", "--j", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "period" in err and err.count("\n") == 1
+
+
+def test_neighbors_bounded_large_smallest_element_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "neighbors", "--set",
+                           "100000000000000000000,100000000000000000001", "--bound", "1000000")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and out == ""
+
+
 def test_rank_command(capsys):
     code, out, _ = run_cli(capsys, "rank", "--top", "2", "--N", "1000")
     assert code == 0

@@ -1,12 +1,13 @@
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from diograph import numtheory
 from diograph.extension import (
     ExtensionRequest,
+    _search_core,
     RegularTriple,
     common_neighbors_bounded,
     common_neighbors_equal_sqfree,
@@ -290,3 +291,152 @@ def test_represent_k4_core():
     res = represent_graph([0, 1, 2, 3], list(combinations(range(4), 2)))
     assert res.status == "found"
     assert set(res.witness.values) == set(K4_WITNESS)
+
+
+def reference_search_core(vertices, edge_set, pool_bound, budget):
+    """The representation search as it was before the bitmask rewrite:
+    candidates by a divmod walk over r <= sqrt(m*pool) on every visit and
+    edge_test consistency against every assigned vertex."""
+    order = []
+    remaining = set(vertices)
+    degree = {v: sum(1 for u in vertices if frozenset((u, v)) in edge_set) for v in vertices}
+    while remaining:
+        if order:
+            key = lambda v: (
+                -sum(1 for u in order if frozenset((u, v)) in edge_set),
+                -degree[v],
+                vertices.index(v),
+            )
+        else:
+            key = lambda v: (-degree[v], vertices.index(v))
+        nxt = min(remaining, key=key)
+        order.append(nxt)
+        remaining.discard(nxt)
+
+    assignment = {}
+    used = set()
+
+    def candidates_for(v):
+        anchors = [u for u in order if u in assignment and frozenset((u, v)) in edge_set]
+        if not anchors:
+            return list(range(1, pool_bound + 1))
+        m = min(assignment[u] for u in anchors)
+        cands = []
+        for r in range(2, isqrt(m * pool_bound + 1) + 1):
+            w, rem = divmod(r * r - 1, m)
+            if not rem and 1 <= w <= pool_bound:
+                cands.append(w)
+        return cands
+
+    def consistent(v, w):
+        if w in used:
+            return False
+        for u, wu in assignment.items():
+            want = frozenset((u, v)) in edge_set
+            if wu == w or edge_test(wu, w) != want:
+                return False
+        return True
+
+    def backtrack(pos):
+        if pos == len(order):
+            return True
+        v = order[pos]
+        for w in candidates_for(v):
+            budget[0] -= 1
+            if budget[0] <= 0:
+                return False
+            if consistent(v, w):
+                assignment[v] = w
+                used.add(w)
+                if backtrack(pos + 1):
+                    return True
+                del assignment[v]
+                used.discard(w)
+        return False
+
+    if backtrack(0):
+        return dict(assignment)
+    return None
+
+
+def test_search_core_matches_reference():
+    rng = random.Random(6)
+    found = exhausted = 0
+    for _ in range(80):
+        n = rng.randint(4, 7)
+        pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.6]
+        adj = [0] * n
+        for a, b in pairs:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        core = sorted(rng.sample(range(n), rng.randint(3, n)))
+        pool = rng.randint(30, 200)
+        budget = rng.choice([rng.randint(1, 60), rng.randint(200, 4000)])
+        want_left, got_left = [budget], [budget]
+        want = reference_search_core(core, {frozenset(p) for p in pairs}, pool, want_left)
+        got = _search_core(adj, core, pool, got_left)
+        assert (got is None) == (want is None), (n, pairs, core, pool, budget)
+        if want is not None:
+            assert list(got.items()) == list(want.items())
+        assert got_left == want_left
+        found += want is not None
+        exhausted += want_left[0] <= 0
+    assert found and exhausted
+
+
+REPRESENT_K33 = ([1, 2, 3, 4, 5, 6], [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+REPRESENT_W5 = (
+    [0, 1, 2, 3, 4, 5],
+    [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)],
+)
+
+
+def test_represent_node_counts_are_pinned():
+    # an exhausted budget is charged once more per open level above
+    res = represent_graph(*REPRESENT_K33, node_budget=20_000)
+    assert (res.status, res.nodes_searched) == ("unknown", 20_004)
+    res = represent_graph(*REPRESENT_W5)
+    assert (res.status, res.known_impossible, res.nodes_searched) == ("unknown", False, 152_973)
+
+
+def test_represent_rejects_nonpositive_budget_and_pool():
+    for kw in ({"node_budget": 0}, {"node_budget": -5}, {"pool_bound": 0}, {"pool_bound": -3}):
+        with pytest.raises(ValueError, match="positive"):
+            represent_graph(*REPRESENT_K33, **kw)
+
+
+def test_represent_and_bounded_neighbors_leave_the_sieve_unbuilt(monkeypatch):
+    monkeypatch.setattr(numtheory, "_spf_table", None)
+    assert represent_graph(*REPRESENT_K33, node_budget=2_000).status == "unknown"
+    assert represent_graph([0, 1, 2, 3], list(combinations(range(4), 2))).status == "found"
+    assert numtheory._spf_table is None
+    assert common_neighbors_bounded([1, 3, 8], 10**6) == [120]
+    assert numtheory._spf_table is None
+
+
+def r_walk_common_neighbors(S, bound):
+    """common_neighbors_bounded before the root-class walk: every r up to
+    sqrt(m*bound + 1) for the smallest element m."""
+    values = sorted(S)
+    m, rest = values[0], values[1:]
+    out = []
+    for r in range(2, isqrt(m * bound + 1) + 1):
+        w, rem = divmod(r * r - 1, m)
+        if rem or w < 1 or w > bound or w in values:
+            continue
+        if all(is_square(v * w + 1) for v in rest):
+            out.append(w)
+    return out
+
+
+def test_common_neighbors_bounded_matches_r_walk():
+    rng = random.Random(2026)
+    hits = 0
+    for _ in range(300):
+        S = rng.sample(range(1, rng.choice([50, 2_000, 10**6])), rng.randint(1, 3))
+        bound = rng.randint(1, 20_000)
+        got = common_neighbors_bounded(S, bound)
+        assert got == r_walk_common_neighbors(S, bound), (S, bound)
+        hits += len(got)
+    assert hits > 0
+

@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
+from diograph import pell
 from diograph.numtheory import factorize, is_square
 from diograph.pell import (
+    PellBudgetError,
     PellInstance,
     PellUnit,
     fundamental_unit,
@@ -125,3 +129,41 @@ def test_pell_instance_validation():
         PellInstance(1, 5)
     with pytest.raises(ValueError):
         PellInstance(3, 0)
+
+
+def convergent_unit(D):
+    """fundamental_unit before the step budget: test the norm of every
+    convergent until it is +-1."""
+    a0 = math.isqrt(D)
+    m, d, a = 0, 1, a0
+    num1, num = 1, a0
+    den1, den = 0, 1
+    while True:
+        t = num * num - D * den * den
+        if t == 1:
+            return PellUnit(num, den)
+        if t == -1:
+            return PellUnit(num * num + D * den * den, 2 * num * den)
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        num, num1 = a * num + num1, num
+        den, den1 = a * den + den1, den
+
+
+def test_fundamental_unit_matches_convergent_norms():
+    for D in [*range(2, 3000), 95419]:
+        if math.isqrt(D) ** 2 != D:
+            assert fundamental_unit(D) == convergent_unit(D), D
+
+
+def test_pell_step_budget_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(pell, "_PELL_STEP_BUDGET", 100)
+    assert fundamental_unit(94) == convergent_unit(94)  # period 16
+    with pytest.raises(PellBudgetError, match="period"):
+        fundamental_unit(95419)  # period 750
+    unit = fundamental_unit(2)
+    assert unit_order_mod(unit, 2, 7) == 3
+    with pytest.raises(PellBudgetError, match="order"):
+        unit_order_mod(unit, 2, 1019)  # order 1020
+    assert issubclass(PellBudgetError, ValueError)
