@@ -18,7 +18,7 @@ from math import isqrt, log
 import numpy as np
 
 from .graph import DiophGraph, GraphStats, edge_test, induced, stats
-from .numtheory import count_unit_roots
+from .numtheory import _prime_power_split, count_unit_roots
 
 __all__ = [
     "HamiltonPathResult",
@@ -102,30 +102,6 @@ def prune_low_degree(G: DiophGraph) -> tuple[DiophGraph, PruneTrace]:
 # ---------------------------------------------------------------------------
 
 
-def _omega_values(N: int) -> np.ndarray:
-    """omega(a) for a in [0, N] (omega(0) = omega(1) = 0)."""
-    omega = np.zeros(N + 1, dtype=np.uint8)
-    composite = np.zeros(N + 1, dtype=bool)
-    for p in range(2, N + 1):
-        if not composite[p]:
-            omega[p::p] += 1
-            composite[p * p :: p] = True
-    return omega
-
-
-def _root_counts(N: int) -> np.ndarray:
-    """S(a) for a in [0, N] via the closed form (S(0) is meaningless)."""
-    omega = _omega_values(N)
-    s = np.left_shift(np.int64(1), omega.astype(np.int64))
-    idx = np.arange(N + 1)
-    s[idx % 4 == 2] >>= 1
-    mask8 = (idx % 8 == 0) & (idx > 0)
-    s[mask8] <<= 1
-    if N >= 1:
-        s[1] = 1
-    return s
-
-
 def heuristic_score(a: int) -> float:
     """S(a)/sqrt(a), the expected-degree score of a."""
     if a < 1:
@@ -139,7 +115,7 @@ def heuristic_top(N: int, count: int) -> list[int]:
     is compared in integers on the float-preselected slice."""
     if count < 1 or count > N:
         raise ValueError(f"need 1 <= count <= N, got count={count}, N={N}")
-    s = _root_counts(N)
+    s = _prime_power_split(N).S
     score = s.astype(np.float64) ** 2
     score[1:] /= np.arange(1, N + 1, dtype=np.float64)
     score[0] = -1.0
@@ -172,7 +148,7 @@ class OmegaDistribution:
 def omega_distribution(x: int, C: float | None = None) -> OmegaDistribution:
     if x < 1:
         raise ValueError(f"x must be positive, got {x}")
-    omega = _omega_values(x)
+    omega = _prime_power_split(x).omega
     counts = tuple(int(c) for c in np.bincount(omega[1 : x + 1]))
     if C is None:
         return OmegaDistribution(x, counts)

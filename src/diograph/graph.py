@@ -8,10 +8,12 @@ new values, so concurrent readers are always safe.
 The range graph on {1..N} at shift 1 rests on the residue-class
 enumeration behind the degree bound: the multipliers r with
 a*b + 1 = r^2 lie in the root classes of x^2 = 1 (mod a), so the
-neighbors of a are swept without touching the other N-1 vertices.  One
-sweep serves both build_range (which expands each class) and
-range_edge_count (which counts it in closed form).  Any other shift
-falls back to pairwise testing.
+neighbors of a are swept without touching the other N-1 vertices.  The
+roots of every a <= N come from one array pass over a sieve sized to N
+(`numtheory._unit_root_batches`), which serves build_range (which
+expands each class), range_edge_count (which counts it in closed form)
+and the completeness check of {1..N} documents.  Any other shift falls
+back to pairwise testing.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import isqrt
 
 import numpy as np
 
-from .numtheory import is_square, unit_roots_mod
+from .numtheory import _prime_power_split, _unit_root_batches, is_square
 
 __all__ = [
     "DiophGraph",
@@ -303,34 +303,48 @@ def build_set(values, shift: int = 1) -> DiophGraph:
     return DiophGraph._from_pairs(vs, *_pairwise_edges(vs, shift), shift)
 
 
-def _root_classes(N: int):
-    """(a, r0, rmax) for every vertex a of {1..N} and every root class of
-    x^2 = 1 (mod a) that holds a multiplier r in (a, rmax], rmax =
-    isqrt(a*N + 1); r0 is the smallest such r.  Each r in the class up to
-    rmax gives the neighbor b = (r^2 - 1)/a > a.  Vertices a >= N - 1 have
-    no neighbor above them and are skipped."""
-    for a in range(1, N - 1):
-        rmax = isqrt(a * N + 1)
-        for rho in unit_roots_mod(a).roots:
-            r0 = a + 1 + (rho - a - 1) % a
-            if r0 <= rmax:
-                yield a, r0, rmax
+def _check_range_size(N: int) -> None:
+    if not 1 <= N < 1 << 31:
+        raise ValueError(f"N must be between 1 and 2**31 - 1, got {N}")
+
+
+def _isqrt_array(v: np.ndarray) -> np.ndarray:
+    """isqrt of int64 values below 2**62: the float64 root is off by at
+    most one either way, so one correction each way makes it exact."""
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
+def _class_batches(N: int):
+    """Batches of int64 arrays (a, r0, rmax): for every vertex a of {1..N}
+    and every root class of x^2 = 1 (mod a) that holds a multiplier r in
+    (a, rmax], rmax = isqrt(a*N + 1), r0 is the smallest such r.  Each r in
+    the class up to rmax gives the neighbor b = (r^2 - 1)/a > a.  Vertices
+    a >= N - 1 have no neighbor above them and are skipped."""
+    for a, x in _unit_root_batches(N - 2):
+        lo = a[0]
+        rmax = _isqrt_array(np.arange(lo, a[-1] + 1) * N + 1)[a - lo]
+        # the class of the root x holds r0 = a + x, or 2 for x = 0 (a = 1)
+        keep = np.flatnonzero(x <= rmax - a)
+        a = a[keep]
+        yield a, a + np.maximum(x[keep], 1), rmax[keep]
 
 
 def build_range(N: int, shift: int = 1) -> DiophGraph:
-    """Graph on {1..N}.  At shift 1 every root class is expanded into its
-    multipliers r = r0, r0 + a, ..., and each gives the edge
+    """Graph on {1..N}, N < 2**31.  At shift 1 every root class is expanded
+    into its multipliers r = r0, r0 + a, ..., and each gives the edge
     (a, (r^2 - 1)/a); other shifts fall back to pairwise testing."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    _check_range_size(N)
     if shift != 1:
         return build_set(range(1, N + 1), shift)
-    classes = np.fromiter(chain.from_iterable(_root_classes(N)), dtype=np.int64)
-    a, r0, rmax = classes.reshape(-1, 3).T
+    none = np.zeros(0, dtype=np.int64)
+    a, r0, rmax = map(np.concatenate, zip((none, none, none), *_class_batches(N)))
     counts = (rmax - r0) // a + 1
     a = np.repeat(a, counts)
     # r counts up from r0 in steps of a within each class; r <= N + 1, so
-    # r*r stays inside int64 for every N whose graph fits in memory
+    # r*r stays inside int64
     step = np.arange(len(a), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     r = np.repeat(r0, counts) + a * step
     b = (r * r - 1) // a
@@ -338,11 +352,11 @@ def build_range(N: int, shift: int = 1) -> DiophGraph:
 
 
 def range_edge_count(N: int) -> int:
-    """Edge count of the shift-1 graph on {1..N} without building it:
-    each root class contributes a closed-form count of its multipliers."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    return sum((rmax - r0) // a + 1 for a, r0, rmax in _root_classes(N))
+    """Edge count of the shift-1 graph on {1..N}, N < 2**31, without
+    building it: each root class contributes a closed-form count of its
+    multipliers."""
+    _check_range_size(N)
+    return sum(int(((rmax - r0) // a + 1).sum()) for a, r0, rmax in _class_batches(N))
 
 
 @dataclass
@@ -459,16 +473,15 @@ class DegreeBoundReport:
 
 def degree_bound_check(G: DiophGraph) -> DegreeBoundReport:
     """Check the root-class degree bound on a shift-1 range graph."""
-    from .numtheory import factorize
-
     N = G.n
     if G.shift != 1 or G.vertices != tuple(range(1, N + 1)):
         raise ValueError("degree_bound_check needs a shift-1 graph on {1..N}")
+    omega = _prime_power_split(N).omega[1:].tolist()
     violations = []
     max_ratio = 0.0
     argmax = 1
-    for a, deg in zip(G.vertices, G._degrees().tolist()):
-        pow4 = 4 ** factorize(a).omega
+    for a, deg, w in zip(G.vertices, G._degrees().tolist(), omega):
+        pow4 = 4**w
         # deg <= 8*sqrt(N/a)*2^omega  <=>  deg^2 * a <= 64 * N * 4^omega
         if deg * deg * a > 64 * N * pow4:
             violations.append(a)
@@ -615,7 +628,9 @@ def _listed_edge_positions(
             raise ValueError(f"edge ({a}, {b}) uses unknown vertices")
         raise ValueError(f"({a}, {b}) is not an edge at shift {shift}")
     lo, hi = pos.min(axis=1), pos.max(axis=1)
-    keys = np.sort(lo * n + hi)
+    keys = lo * n
+    keys += hi
+    keys.sort()  # in place: this is the loader's peak of memory
     twice = np.flatnonzero(keys[1:] == keys[:-1])
     if len(twice):
         i, j = divmod(int(keys[twice[0]]), n)
@@ -631,9 +646,9 @@ def graph_from_doc(doc: dict) -> DiophGraph:
 
     A Diophantine graph is fixed by its vertex set, so a document must
     list every edge.  Listed edges are checked real and distinct, so the
-    document is complete exactly when it lists as many edges as the
-    pairwise test finds; that count is checked for every vertex set
-    except {1..N}."""
+    document is complete exactly when it lists as many edges as its
+    vertex set has: `range_edge_count` for {1..N} at shift 1, the pairwise
+    test for every other vertex set and shift."""
     if not isinstance(doc, dict):
         raise ValueError("malformed graph document: not a JSON object")
     version = doc.get("schema_version", 1)
@@ -656,13 +671,15 @@ def graph_from_doc(doc: dict) -> DiophGraph:
         )
     vs = tuple(sorted(vertices))
     lo, hi = _listed_edge_positions(vs, edges, shift)
-    if vs and vs[-1] != len(vs):  # not {1..N}
+    if shift == 1 and vs and vs[-1] == len(vs):  # {1..N}
+        want = range_edge_count(len(vs))
+    else:
         want = len(_pairwise_edges(vs, shift)[0])
-        if len(lo) != want:
-            raise ValueError(
-                f"graph document lists {len(lo)} of the {want} edges of its "
-                f"vertex set at shift {shift}"
-            )
+    if len(lo) != want:
+        raise ValueError(
+            f"graph document lists {len(lo)} of the {want} edges of its "
+            f"vertex set at shift {shift}"
+        )
     return DiophGraph._from_pairs(vs, lo, hi, shift)
 
 

@@ -11,7 +11,10 @@ listed in `Factorization.probable_primes`.  When rho exhausts its budget,
 `factorize` raises `FactorizationBudgetError` instead of running on.
 
 The table is built once, under a lock, on first use and is read-only
-afterwards, so everything here is safe for concurrent callers.
+afterwards, so everything here is safe for concurrent callers.  It
+serves only single-value calls (`factorize`, `unit_roots_mod`,
+`count_unit_roots`).  Work over every a <= N (omega, S(a) and the roots
+of x^2 = 1 (mod a)) builds its own sieve sized to N and never reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import threading
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -91,6 +94,8 @@ def _spf() -> np.ndarray:
 
 
 def _build_spf(bound: int) -> np.ndarray:
+    """spf[a] is the smallest prime factor of a in [2, bound); spf[0] = 0
+    and spf[1] = 1."""
     spf = np.zeros(bound, dtype=np.int32)
     for i in range(2, isqrt(bound - 1) + 1):
         if spf[i] == 0:
@@ -453,3 +458,142 @@ def count_unit_roots(a: int) -> int:
     if v2 == 2:
         return 2**omega
     return 2 ** (omega + 1)
+
+
+# ---------------------------------------------------------------------------
+# Tables over every a <= N
+# ---------------------------------------------------------------------------
+
+# Roots lifted per batch: bounds the batch temporaries (about ten int64
+# arrays of this length) whatever N is.  At least 1024, the largest S(a)
+# below 2**31, so every batch holds at least one a.
+_ROOT_BATCH = 1 << 16
+
+
+class _PrimePowerSplit(NamedTuple):
+    """Tables over every a in [0, N]; see `_prime_power_split`."""
+
+    spf: np.ndarray  # smallest prime p of a (int32)
+    m: np.ndarray  # a // q, where q = p^e is the exact power of p in a (int32)
+    omega: np.ndarray  # number of distinct primes of a (uint8)
+    S: np.ndarray  # number of roots of x^2 = 1 (mod a) (int32)
+
+
+def _prime_power_split(N: int) -> _PrimePowerSplit:
+    """The split a = q * m of every a in [0, N], with omega(a) and S(a),
+    from one smallest-prime-factor sieve sized to N.  a = 1 has m = 1,
+    omega 0 and S 1; the entries of a = 0 mean nothing.
+
+    m[a] <= a/2, so the a in [lo, 2*lo) read only entries below lo and the
+    tables fill in about log2(N) vectorised passes: omega[a] = omega[m] + 1
+    and S[a] = S[m] * S(q), where S(q) is 2 for odd p and 1, 2 or 4 for
+    q = 2, 4 or a higher power of 2."""
+    if not 0 <= N < _MAX_SIEVE_BOUND:
+        raise ValueError(f"N must be below 2**31, got {N}")
+    spf = _build_spf(N + 1)
+    m = np.ones(N + 1, dtype=np.int32)
+    omega = np.zeros(N + 1, dtype=np.uint8)
+    S = np.ones(N + 1, dtype=np.int32)
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, N + 1)
+        a = np.arange(lo, hi, dtype=np.int32)
+        p = spf[lo:hi]
+        m1 = a // p
+        m[lo:hi] = np.where(spf[m1] == p, m[m1], m1)  # p^2 | a: m[a] = m[a/p]
+        mm = m[lo:hi]
+        omega[lo:hi] = omega[mm] + 1
+        S[lo:hi] = S[mm] * np.where(p > 2, 2, np.minimum(a // mm, 8) // 2)
+        lo = hi
+    return _PrimePowerSplit(spf, m, omega, S)
+
+
+def _inverse_mod_prime_powers(m: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """m^-1 mod q elementwise, for int64 m coprime to q = p^e < 2**31, as
+    m^(phi(q) - 1) by square-and-multiply.  Most q are small, so an entry
+    leaves the working set as soon as its exponent runs out."""
+    u = np.ones_like(m)
+    base = m % q
+    at = np.flatnonzero(base > 1)  # else u = 1
+    base, mod = base[at], q[at]
+    exp = mod - mod // p[at] - 1
+    res = np.ones_like(base)
+    while len(at):
+        res = np.where((exp & 1) == 1, res * base % mod, res)
+        exp >>= 1
+        done = exp == 0
+        if done.any():
+            u[at[done]] = res[done]
+            live = ~done
+            at, base, mod, exp, res = at[live], base[live], mod[live], exp[live], res[live]
+        base = base * base % mod
+    return u
+
+
+def _unit_root_batches(N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every root x in [0, a) of x^2 = 1 (mod a) for every a in [1, N]
+    (a = 1 gives x = 0), as batches of int64 arrays (a, x): a is
+    nondecreasing across batches and each batch holds all roots of its a.
+
+    With a = q * m split by `_prime_power_split`, each root of a is the
+    CRT lift of a root s mod m and a root t mod q (t = +-1, and
+    2^(e-1) +- 1 when q = 2^e >= 8):
+    x = s + m * (((t - s) mod q) * u mod q) with u = m^-1 mod q, the
+    assembly of `_crt_unit_roots`.  Every intermediate stays below
+    q^2 <= N^2.  A batch never spans a doubling of a, so the roots of
+    m <= a/2 were lifted by an earlier batch; only the roots of a <= N/2
+    are kept for that (int32, since x < a)."""
+    spf, m, _, S = _prime_power_split(max(N, 0))
+    half = N // 2
+    start = np.zeros(half + 2, dtype=np.int64)  # a's roots: kept[start[a]:start[a + 1]]
+    np.cumsum(S[1 : half + 1], out=start[2:])
+    kept = np.zeros(start[-1], dtype=np.int32)  # kept[0] = 0, the root of 1
+    if N >= 1:
+        yield np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    lo = 2
+    while lo <= N:
+        hi = min(2 * lo, N + 1)
+        ends = np.cumsum(S[lo:hi], dtype=np.int64)
+        cuts = np.searchsorted(ends, np.arange(_ROOT_BATCH, ends[-1], _ROOT_BATCH), "right")
+        bounds = [lo, *(cuts + lo).tolist(), hi]
+        for a0, a1 in zip(bounds, bounds[1:]):
+            a, x = _lift_roots(a0, a1, spf, m, S, start, kept)
+            if a0 <= half:
+                top = min(a1, half + 1)
+                kept[start[a0] : start[top]] = x[: start[top] - start[a0]]
+            yield a, x
+        lo = hi
+
+
+def _lift_roots(a0, a1, spf, m, S, start, kept) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of every a in [a0, a1), a1 <= 2*a0, lifted from the kept
+    roots of each m.
+
+    Roots pair up as x and a - x, the lifts of (s, t) and (m - s, q - t),
+    so each root s of m is lifted once, with t = 1, to x; the roots of a
+    are x and a - x for every s, plus y = x + a/2 (mod a) and a - y when
+    q = 2^e >= 8 (t = 2^(e-1) + 1 then), and just x when q = 2."""
+    a = np.arange(a0, a1, dtype=np.int64)
+    mm = m[a0:a1].astype(np.int64)
+    qq = a // mm
+    count = S[a0:a1]
+    pairs = S[mm]  # roots of m
+    u = _inverse_mod_prime_powers(mm, qq, spf[a0:a1].astype(np.int64))
+    row = np.repeat(np.arange(a1 - a0), pairs)
+    first = np.cumsum(pairs, dtype=np.int64) - pairs
+    s = kept[start[mm][row] + np.arange(len(row)) - first[row]].astype(np.int64)
+    # |1 - s| * u < m * q = a, so the product stays small
+    x = s + mm[row] * ((1 - s) * u[row] % qq[row])
+    a = np.repeat(a, count)
+    out = np.empty(len(a), dtype=np.int64)
+    width = (count // pairs)[row]  # roots per lift: 1, 2 or 4
+    at = np.cumsum(width, dtype=np.int64) - width
+    out[at] = x
+    pm = np.flatnonzero(width > 1)
+    out[at[pm] + 1] = a[at[pm]] - x[pm]
+    four = np.flatnonzero(width == 4)
+    a4 = a[at[four]]
+    y = (x[four] + a4 // 2) % a4
+    out[at[four] + 2] = y
+    out[at[four] + 3] = a4 - y
+    return a, out

@@ -131,6 +131,25 @@ def test_heuristic_exact_tie_break():
     assert [a for a in top if a in (3, 12, 48)] == [3, 12, 48]
 
 
+def test_heuristic_top_matches_exact_ranking():
+    from fractions import Fraction
+
+    from diograph.numtheory import count_unit_roots
+
+    N = 3000
+    score = {a: Fraction(count_unit_roots(a) ** 2, a) for a in range(1, N + 1)}
+    exact = sorted(score, key=lambda a: (-score[a], a))
+    assert heuristic_top(N, 200) == exact[:200]
+
+
+def test_omega_distribution_matches_factorize():
+    x = 5000
+    brute = [0] * 6
+    for a in range(1, x + 1):
+        brute[factorize(a).omega] += 1
+    assert list(omega_distribution(x).counts) == brute
+
+
 def test_heuristic_argmax_1e6_is_24():
     assert heuristic_top(10**6, 1)[0] == 24
 

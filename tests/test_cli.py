@@ -116,6 +116,39 @@ def test_incomplete_graph_file_exits_2(capsys, tmp_path):
     assert "edges of its vertex set" in err
 
 
+def test_incomplete_range_graph_file_exits_2(capsys, tmp_path):
+    gf = tmp_path / "g300.json"
+    code, _, _ = run_cli(capsys, "build", "--N", "300", "--out", str(gf))
+    assert code == 0
+    doc = json.loads(gf.read_text(encoding="utf-8"))
+    del doc["edges"][-5:]
+    gf.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
+    assert code == 2 and out == ""
+    assert "lists 911 of the 916 edges" in err
+
+
+def test_incomplete_shift_2_range_graph_file_exits_2(capsys, tmp_path):
+    gf = tmp_path / "g2.json"
+    code, _, _ = run_cli(capsys, "build", "--N", "200", "--shift", "2", "--out", str(gf))
+    assert code == 0
+    doc = json.loads(gf.read_text(encoding="utf-8"))
+    listed = len(doc["edges"])
+    del doc["edges"][listed // 2]
+    gf.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
+    assert code == 2 and out == ""
+    assert f"lists {listed - 1} of the {listed} edges" in err
+
+
+def test_build_beyond_int32_exits_2_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "build", "--N", "10000000000")
+    assert code == 2 and out == ""
+    assert "2**31 - 1" in err
+    assert time.perf_counter() - t0 < 1
+
+
 def test_prune_out_round_trips(capsys, tmp_path):
     from diograph import analysis, graph
 

@@ -1,10 +1,15 @@
 import json
 import random
+from math import isqrt
 
+import numpy as np
 import pytest
 
+from diograph import numtheory
 from diograph.graph import (
     DiophGraph,
+    _class_batches,
+    _isqrt_array,
     _clique_number,
     _component_count,
     GraphDefectError,
@@ -25,7 +30,7 @@ from diograph.graph import (
     stats,
     write_edge_list,
 )
-from diograph.numtheory import is_square
+from diograph.numtheory import is_square, unit_roots_mod
 from diograph.witnesses import C6_COMPLEMENT_WITNESS, K4_WITNESS, K5_MINUS_EDGE_WITNESS
 
 N8_EDGES = [(1, 3), (1, 8), (2, 4), (3, 5), (3, 8), (4, 6), (5, 7), (6, 8)]
@@ -108,6 +113,65 @@ def test_build_set_numpy_and_python_paths_agree():
 def test_range_edge_count_matches_build():
     for N in (1, 2, 8, 100, 1234):
         assert range_edge_count(N) == build_range(N).edge_count
+
+
+def root_classes_by_vertex(N):
+    """Reference for `_class_batches`: the per-vertex sweep it replaced,
+    one `unit_roots_mod(a)` call per vertex a."""
+    for a in range(1, N - 1):
+        rmax = isqrt(a * N + 1)
+        for rho in unit_roots_mod(a).roots:
+            r0 = a + 1 + (rho - a - 1) % a
+            if r0 <= rmax:
+                yield a, r0, rmax
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 33, 300, 2000, 10**4])
+def test_class_batches_match_the_per_vertex_sweep(N):
+    got = [
+        triple
+        for batch in _class_batches(N)
+        for triple in zip(*(col.tolist() for col in batch))
+    ]
+    assert sorted(got) == sorted(root_classes_by_vertex(N))
+
+
+def test_isqrt_array_is_exact_up_to_2_62():
+    rng = random.Random(11)
+    # 94906267^2 is just above 2**53, where float64 stops holding every int
+    roots = [rng.randrange(1, 2**31) for _ in range(2000)] + [94906265, 94906267, 2**31 - 1]
+    values = [v for r in roots for v in (r * r - 1, r * r, r * r + 1) if v < 2**62]
+    values += [rng.randrange(2**62) for _ in range(2000)]
+    got = _isqrt_array(np.array(values, dtype=np.int64)).tolist()
+    assert got == [isqrt(v) for v in values]
+
+
+def test_range_builders_reject_n_outside_int32():
+    for N in (0, -3, 2**31, 10**10):
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            build_range(N)
+        with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+            range_edge_count(N)
+    with pytest.raises(ValueError, match=r"2\*\*31 - 1"):
+        build_range(10**10, shift=2)
+
+
+def test_range_builders_and_range_documents_leave_the_sieve_unbuilt(monkeypatch):
+    from diograph.analysis import heuristic_top, omega_distribution
+
+    monkeypatch.setattr(numtheory, "_spf_table", None)
+    g = build_range(33)
+    assert numtheory._spf_table is None
+    assert range_edge_count(2000) == 8394
+    assert numtheory._spf_table is None
+    assert graph_from_doc(graph_to_doc(g)) == g
+    assert numtheory._spf_table is None
+    assert degree_bound_check(g).passed
+    assert numtheory._spf_table is None
+    assert heuristic_top(1000, 3) == [24, 120, 8]
+    assert numtheory._spf_table is None
+    assert omega_distribution(1000).counts[1] == 193
+    assert numtheory._spf_table is None
 
 
 def test_stats_examples():
@@ -286,8 +350,9 @@ def test_shift_2_graph():
 def test_dujella_band_at_1e5_and_1e6():
     from math import log, pi
 
-    for N in (10**5, 10**6):
+    for N, edges in ((10**5, 657_504), (10**6, 7_974_990)):
         e = range_edge_count(N)
+        assert e == edges
         ratio = e / ((6 / pi**2) * N * log(N))
         assert 0.75 <= ratio <= 1.25, (N, ratio)
 
@@ -508,4 +573,22 @@ def test_incomplete_witness_document_is_rejected():
     listed = len(doc["edges"])
     del doc["edges"][-40:]
     with pytest.raises(ValueError, match=f"lists {listed - 40} of the {listed} edges"):
+        graph_from_doc(doc)
+
+
+def test_incomplete_range_document_is_rejected():
+    doc = graph_to_doc(build_range(300))
+    assert len(doc["edges"]) == 916
+    del doc["edges"][-5:]
+    with pytest.raises(ValueError, match="lists 911 of the 916 edges"):
+        graph_from_doc(doc)
+
+
+def test_incomplete_shift_2_range_document_is_rejected():
+    g = build_range(100, shift=2)
+    doc = graph_to_doc(g)
+    assert graph_from_doc(doc) == g
+    listed = len(doc["edges"])
+    del doc["edges"][0]
+    with pytest.raises(ValueError, match=f"lists {listed - 1} of the {listed} edges"):
         graph_from_doc(doc)

@@ -125,6 +125,62 @@ def test_unit_roots_against_brute_force_small():
         assert enum.count == count_unit_roots(a) == len(enum.roots)
 
 
+def roots_by_modulus(N, wanted=None):
+    """{a: sorted roots} from `_unit_root_batches(N)` for every a, or for
+    the a in `wanted`, checking that no a is split between batches."""
+    out = {}
+    last = 0
+    for a, x in numtheory._unit_root_batches(N):
+        assert a.dtype == x.dtype == np.int64 and len(a) == len(x)
+        assert a[0] > last and np.all(np.diff(a) >= 0)
+        last = a[-1]
+        if wanted is not None:
+            keep = np.isin(a, wanted)
+            a, x = a[keep], x[keep]
+        for ai, xi in zip(a.tolist(), x.tolist()):
+            out.setdefault(ai, []).append(xi)
+    return {a: sorted(roots) for a, roots in out.items()}
+
+
+def test_unit_root_batches_match_unit_roots_mod():
+    got = roots_by_modulus(2 * 10**4)
+    assert list(got) == list(range(1, 2 * 10**4 + 1))
+    for a, roots in got.items():
+        assert tuple(roots) == unit_roots_mod(a).roots, a
+
+
+def test_unit_root_batches_on_powers_of_two_times_odd(monkeypatch):
+    # every 2-adic case of the lift (q = 2, 4 and 2^e >= 8) beside odd m
+    # with none to three primes, over many batches per doubling
+    moduli = [2**e * m for e in range(1, 15) for m in (1, 3, 7, 15, 105) if 2**e * m < 3 * 10**5]
+    monkeypatch.setattr(numtheory, "_ROOT_BATCH", 1 << 12)
+    got = roots_by_modulus(max(moduli), moduli)
+    for a in moduli:
+        assert tuple(got[a]) == unit_roots_mod(a).roots, a
+        if a < 3000:
+            assert got[a] == brute_unit_roots(a)
+
+
+def test_prime_power_split_matches_factorize():
+    split = numtheory._prime_power_split(10**4)
+    assert split.spf.dtype == split.m.dtype == split.S.dtype == np.int32
+    assert split.omega.dtype == np.uint8
+    for a in range(2, 10**4 + 1):
+        f = factorize(a)
+        p = min(f.factors)
+        assert split.spf[a] == p
+        assert split.m[a] == a // p ** f.factors[p]
+        assert split.omega[a] == f.omega
+        assert split.S[a] == count_unit_roots(a)
+    assert (split.m[1], split.omega[1], split.S[1]) == (1, 0, 1)
+
+
+def test_prime_power_split_rejects_n_beyond_int32():
+    for N in (-1, 2**31, 10**10):
+        with pytest.raises(ValueError, match=r"below 2\*\*31"):
+            numtheory._prime_power_split(N)
+
+
 def test_root_count_headline_bound():
     for a in range(1, 5001):
         assert count_unit_roots(a) <= 2 ** (factorize(a).omega + 1)
