@@ -54,7 +54,7 @@ def _load_source_graph(cfg: CommandConfig) -> tuple[graph.DiophGraph, list[int] 
     Returns the graph and, for witness files, the listed vertex order
     (used as the default branch order)."""
     p = cfg.params
-    shift = p.get("shift") or 1
+    shift = p["shift"]
     if p.get("graph_file"):
         return graph.load_graph_file(p["graph_file"]), None
     if p.get("witness_file"):
@@ -188,7 +188,7 @@ def _cmd_extend(cfg: CommandConfig) -> int:
 def _cmd_neighbors(cfg: CommandConfig) -> int:
     p = cfg.params
     values = [int(x) for x in p["set"].split(",") if x.strip()]
-    if p.get("bound"):
+    if p.get("bound") is not None:
         found = extension.common_neighbors_bounded(values, _positive("bound", p["bound"]))
         mode = "bounded"
     else:

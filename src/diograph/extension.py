@@ -22,10 +22,11 @@ from math import gcd, isqrt
 
 from .graph import build_set, edge_test
 from .numtheory import (
+    _count_unit_roots,
     _crt_unit_roots,
-    _factorize_large,
     crt_combine,
     divisors,
+    factorize,
     is_square,
     iter_primes,
     same_square_free_part,
@@ -390,9 +391,11 @@ def common_neighbors_bounded(S, bound: int) -> list[int]:
     """All w <= bound adjacent to every element of S, increasing.
 
     With m the smallest element, m*w + 1 = r^2 puts r in a root class of
-    x^2 = 1 (mod m), so only those classes are walked and the other
-    elements filter.  m is split as `divisors` splits its input, so the
-    sieve is never built."""
+    x^2 = 1 (mod m), so those classes are walked and the other elements
+    filter.  When the S(m) classes hold more r than there are w <= bound
+    (m has many prime factors), each w is tested directly instead and the
+    roots are never listed, so after one `factorize(m)` the work is at
+    most `bound` candidates either way."""
     values = sorted(_validate_witness(S))
     if not values:
         raise ValueError("S must be nonempty")
@@ -402,8 +405,14 @@ def common_neighbors_bounded(S, bound: int) -> list[int]:
     rest = values[1:]
     sset = set(values)
     rmax = isqrt(m * bound + 1)
+    factors = factorize(m).factors
+    if _count_unit_roots(factors) * (rmax // m + 1) > bound:
+        return [
+            w for w in range(1, bound + 1)
+            if w not in sset and all(is_square(v * w + 1) for v in values)
+        ]
     out = []
-    for rho in _crt_unit_roots(_factorize_large(m).factors):
+    for rho in _crt_unit_roots(factors):
         for r in range(rho, rmax + 1, m):
             w = (r * r - 1) // m
             if w >= 1 and w not in sset and all(is_square(v * w + 1) for v in rest):

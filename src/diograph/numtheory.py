@@ -1,28 +1,20 @@
 """Exact integer primitives: square detection, factorization, square-free
 parts, and the solutions of x^2 = 1 (mod a).
 
-Factorization below the sieve bound (10**7 entries by default, overridable
-via the DIOGRAPH_SIEVE_BOUND environment variable, read once) walks an
-int32 smallest-prime-factor table.  Larger inputs never touch the table:
-they strip the primes up to 41, split the cofactor with Pollard-Brent rho
-under a fixed work budget, and prove each piece prime with `is_prime`.
-A factor at or above 3.317 * 10**24 is only a BPSW probable prime and is
-listed in `Factorization.probable_primes`.  When rho exhausts its budget,
+`factorize` works the same at every size, with no table: it strips the
+primes up to 41, splits the cofactor with Pollard-Brent rho under a
+fixed work budget, and proves each piece prime with `is_prime`.  A factor
+at or above 3.317 * 10**24 is only a BPSW probable prime and is listed in
+`Factorization.probable_primes`.  When rho exhausts its budget,
 `factorize` raises `FactorizationBudgetError` instead of running on.
 
-The table is built once, under a lock, on first use and is read-only
-afterwards, so everything here is safe for concurrent callers.  It
-serves only single-value calls (`factorize`, `unit_roots_mod`,
-`count_unit_roots`).  Work over every a <= N (omega, S(a) and the roots
-of x^2 = 1 (mod a)) builds its own sieve sized to N and never reads it.
+Work over every a <= N (omega, S(a) and the roots of x^2 = 1 (mod a))
+reads one smallest-prime-factor sieve sized to N, built per call.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
-from functools import cache
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
@@ -45,14 +37,6 @@ __all__ = [
     "unit_roots_mod",
 ]
 
-SIEVE_BOUND_ENV = "DIOGRAPH_SIEVE_BOUND"
-DEFAULT_SIEVE_BOUND = 10_000_000
-# Every table entry is below the bound, so int32 holds them all up to here.
-_MAX_SIEVE_BOUND = 2**31
-
-_spf_table: np.ndarray | None = None
-_spf_lock = threading.Lock()
-
 # Miller-Rabin with these bases is deterministic below 3.317 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -68,29 +52,6 @@ _RHO_BATCH = 128
 
 class FactorizationBudgetError(ValueError):
     """Pollard-Brent rho used up its work budget before n was factored."""
-
-
-@cache
-def _sieve_bound() -> int:
-    raw = os.environ.get(SIEVE_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_SIEVE_BOUND
-    bound = int(raw)
-    if not 4 <= bound <= _MAX_SIEVE_BOUND:
-        raise ValueError(
-            f"{SIEVE_BOUND_ENV} must be between 4 and 2**31, got {bound}"
-        )
-    return bound
-
-
-def _spf() -> np.ndarray:
-    """Smallest-prime-factor table for [0, bound), built lazily, once."""
-    global _spf_table
-    if _spf_table is None:
-        with _spf_lock:
-            if _spf_table is None:
-                _spf_table = _build_spf(_sieve_bound())
-    return _spf_table
 
 
 def _build_spf(bound: int) -> np.ndarray:
@@ -238,30 +199,14 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization of a positive integer.
+    """Prime factorization of a positive integer: the primes up to 41 are
+    stripped and the rest is split by Pollard-Brent rho, at every size.
 
     Raises FactorizationBudgetError (a ValueError) when n has two prime
-    factors too large for Pollard-Brent rho to split within its budget.
+    factors too large for rho to split within its budget.
     """
     if n < 1:
         raise ValueError(f"factorize expects a positive integer, got {n}")
-    if n >= _sieve_bound():
-        return _factorize_large(n)
-    spf = _spf()
-    m = n
-    factors: dict[int, int] = {}
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors[p] = e
-    return Factorization(n, factors)
-
-
-def _factorize_large(n: int) -> Factorization:
-    """Strip the primes up to 41, then split what is left with rho."""
     factors: dict[int, int] = {}
     m = n
     for p in _MR_BASES:
@@ -294,16 +239,12 @@ def _factorize_large(n: int) -> Factorization:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, increasing.
-
-    n is split as `factorize` splits inputs above the sieve bound, at any
-    size, so a one-off call never builds the table; it raises
-    FactorizationBudgetError in the same cases.
-    """
+    """All positive divisors of n, increasing, from `factorize(n)`; raises
+    FactorizationBudgetError in the same cases."""
     if n < 1:
         raise ValueError(f"divisors expects a positive integer, got {n}")
     out = [1]
-    for p, e in _factorize_large(n).factors.items():
+    for p, e in factorize(n).factors.items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
@@ -348,14 +289,11 @@ def _pollard_brent(n: int, budget: int) -> tuple[int | None, int]:
 
 
 def square_free_part(n: int) -> int:
-    """Product of the primes dividing n to an odd power.
-
-    Like `divisors`, n is split without the sieve at any size, so a
-    one-off call never builds the table.
-    """
+    """Product of the primes dividing n to an odd power, from
+    `factorize(n)`."""
     if n < 1:
         raise ValueError(f"square_free_part expects a positive integer, got {n}")
-    f = _factorize_large(n)
+    f = factorize(n)
     out = 1
     for p, e in f.factors.items():
         if e % 2 == 1:
@@ -446,18 +384,13 @@ def count_unit_roots(a: int) -> int:
     """
     if a < 1:
         raise ValueError(f"modulus must be positive, got {a}")
-    if a == 1:
-        return 1
-    f = factorize(a)
-    omega = f.omega
-    v2 = f.factors.get(2, 0)
-    if v2 == 0:
-        return 2**omega
-    if v2 == 1:
-        return 2 ** (omega - 1)
-    if v2 == 2:
-        return 2**omega
-    return 2 ** (omega + 1)
+    return _count_unit_roots(factorize(a).factors)
+
+
+def _count_unit_roots(factors: dict[int, int]) -> int:
+    """S of the product of p**e over `factors` (1 for the empty product)."""
+    v2 = factors.get(2, 0)
+    return 2 ** (len(factors) - (v2 == 1) + (v2 >= 3))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +421,7 @@ def _prime_power_split(N: int) -> _PrimePowerSplit:
     tables fill in about log2(N) vectorised passes: omega[a] = omega[m] + 1
     and S[a] = S[m] * S(q), where S(q) is 2 for odd p and 1, 2 or 4 for
     q = 2, 4 or a higher power of 2."""
-    if not 0 <= N < _MAX_SIEVE_BOUND:
+    if not 0 <= N < 2**31:  # int32 holds every entry
         raise ValueError(f"N must be below 2**31, got {N}")
     spf = _build_spf(N + 1)
     m = np.ones(N + 1, dtype=np.int32)

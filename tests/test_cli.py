@@ -213,6 +213,22 @@ def test_neighbors_bounded(capsys):
     assert out.strip() == "120"
 
 
+def test_neighbors_bound_zero_is_rejected(capsys):
+    # a zero bound is an input error, not a request for the exact solver
+    for bound in ("0", "-4"):
+        code, out, err = run_cli(capsys, "neighbors", "--set", "1,16", "--bound", bound)
+        assert (code, out) == (2, "")
+        assert "--bound must be positive" in err
+
+
+def test_shift_zero_is_rejected(capsys, quadruple_file):
+    for command in ("build", "stats"):
+        for source in (["--N", "6"], ["--witness-file", quadruple_file]):
+            code, out, err = run_cli(capsys, command, *source, "--shift", "0")
+            assert (code, out) == (2, ""), (command, source)
+            assert "shift must be positive" in err
+
+
 def test_neighbors_exact_large_pair_is_quick(capsys):
     # A = 10^9, B = 1: the divisors of A^2 - B^2 come from its factorization
     start = time.perf_counter()

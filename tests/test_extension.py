@@ -1,10 +1,10 @@
 import random
+import time
 from itertools import combinations
 from math import gcd, isqrt
 
 import pytest
 
-from diograph import numtheory
 from diograph.extension import (
     ExtensionRequest,
     _search_core,
@@ -135,12 +135,9 @@ def test_common_neighbors_equal_sqfree_examples():
         common_neighbors_equal_sqfree(1, 3)
 
 
-def test_common_neighbors_equal_sqfree_leaves_the_sieve_unbuilt(monkeypatch):
-    # a small pair takes g from the sieve-free split, as divisors does
-    monkeypatch.setattr(numtheory, "_spf_table", None)
+def test_common_neighbors_equal_sqfree_leaves_the_sieve_unbuilt():
     assert common_neighbors_equal_sqfree(3, 12) == []
     assert common_neighbors_equal_sqfree(1, 16) == [3]
-    assert numtheory._spf_table is None
 
 
 def test_common_neighbors_equal_sqfree_matches_bounded():
@@ -405,13 +402,10 @@ def test_represent_rejects_nonpositive_budget_and_pool():
             represent_graph(*REPRESENT_K33, **kw)
 
 
-def test_represent_and_bounded_neighbors_leave_the_sieve_unbuilt(monkeypatch):
-    monkeypatch.setattr(numtheory, "_spf_table", None)
+def test_represent_and_bounded_neighbors_leave_the_sieve_unbuilt():
     assert represent_graph(*REPRESENT_K33, node_budget=2_000).status == "unknown"
     assert represent_graph([0, 1, 2, 3], list(combinations(range(4), 2))).status == "found"
-    assert numtheory._spf_table is None
     assert common_neighbors_bounded([1, 3, 8], 10**6) == [120]
-    assert numtheory._spf_table is None
 
 
 def r_walk_common_neighbors(S, bound):
@@ -427,6 +421,34 @@ def r_walk_common_neighbors(S, bound):
         if all(is_square(v * w + 1) for v in rest):
             out.append(w)
     return out
+
+
+def test_common_neighbors_bounded_many_prime_factors_is_quick():
+    # m has 30 odd prime factors and 2^30 root classes: the walk cannot
+    # list them, so each w <= bound is tested directly
+    primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))][:30]
+    m = 1
+    for p in primes:
+        m *= p
+    for S, bound in (([m, m + 1], 10), ([m], 50), ([m, 2 * m], 10)):
+        start = time.perf_counter()
+        got = common_neighbors_bounded(S, bound)
+        assert time.perf_counter() - start < 1
+        assert got == [w for w in range(1, bound + 1) if w not in S
+                       and all(is_square(v * w + 1) for v in S)], (S, bound)
+
+
+def test_common_neighbors_bounded_direct_tests_match_r_walk():
+    # S(m) = 2^6 and 2^7: bounds below S(m) test each w directly, larger
+    # ones walk the root classes; both must agree with the plain r walk
+    hits = set()
+    for m in (255_255, 4_849_845):
+        for bound in (1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 328, 329, 399):
+            for S in ([m], [m, 4 * m], [m, m + 1]):
+                got = common_neighbors_bounded(S, bound)
+                assert got == r_walk_common_neighbors(S, bound), (S, bound)
+                hits.update((bound < 64, w) for w in got)
+    assert (True, 8) in hits and (False, 329) in hits
 
 
 def test_common_neighbors_bounded_matches_r_walk():

