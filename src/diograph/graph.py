@@ -22,6 +22,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -564,26 +565,96 @@ def save_witness_file(values, path, comment: str | None = None) -> None:
             fh.write(f"{v}\n")
 
 
-def graph_to_doc(G: DiophGraph) -> dict:
-    """Deterministic document: n, shift, sorted vertices, sorted edges
-    (as (a, b) pairs, which JSON writes as arrays)."""
+def _doc_head(G: DiophGraph) -> dict:
+    """Every field of G's document but `edges`, in document order."""
     return {
         "schema_version": GRAPH_SCHEMA_VERSION,
         "n": G.n,
         "shift": G.shift,
         "vertices": list(G.vertices),
-        "edges": G.edges(),
     }
+
+
+def graph_to_doc(G: DiophGraph) -> dict:
+    """Deterministic document: n, shift, sorted vertices, sorted edges
+    (as (a, b) pairs, which JSON writes as arrays)."""
+    return {**_doc_head(G), "edges": G.edges()}
+
+
+# Edges per chunk of the encoder.  Its gather index holds 8 bytes per
+# output byte, so a chunk of range-graph edges (about 16 bytes each in a
+# document) takes about 8 MiB.
+_CHUNK_EDGES = 1 << 16
+
+
+def _edge_chunks(G: DiophGraph, inner: str, between: str):
+    """The edges (a, b), a < b, of G in lexicographic order as bytes: each
+    edge reads str(a) + inner + str(b), and consecutive edges are joined
+    by `between`.  The bytes come in chunks of about 2**16 edges, taken
+    straight from indptr/indices.  Every label is turned into a string
+    once, into one table that holds between + str(v) + inner for each v;
+    an edge (a, b) is then two spans of it, between + str(a) + inner and
+    str(b), which numpy gathers, so labels of any size work."""
+    n, indptr, indices = G.n, G.indptr, G.indices
+    labels = list(map(str, G.vertices))
+    table = (between + (inner + between).join(labels) + inner).encode("ascii")
+    table = np.frombuffer(table, dtype=np.uint8)
+    width = np.fromiter(map(len, labels), dtype=np.int64, count=n)
+    head_width = width + (len(between) + len(inner))
+    head = np.cumsum(head_width) - head_width
+    tail = head + len(between)
+    # row cuts at every 2 * _CHUNK_EDGES adjacency entries, each edge being
+    # listed in both of its rows
+    firsts = np.searchsorted(indptr, np.arange(0, indptr[-1], 2 * _CHUNK_EDGES), "right") - 1
+    cuts = np.unique(np.append(firsts, n)).tolist()
+    skip = len(between)  # nothing comes before the first edge
+    for r0, r1 in zip(cuts, cuts[1:]):
+        cols = indices[indptr[r0] : indptr[r1]]
+        rows = np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(indptr[r0 : r1 + 1]))
+        upper = cols > rows
+        lo, hi = rows[upper], cols[upper]
+        if not len(lo):
+            continue
+        start = np.stack([head[lo], tail[hi]], axis=1).ravel()
+        size = np.stack([head_width[lo], width[hi]], axis=1).ravel()
+        end = np.cumsum(size)
+        pick = np.repeat(start - (end - size), size)
+        pick += np.arange(len(pick), dtype=np.int64)
+        yield table[pick[skip:]].tobytes()
+        skip = 0
+
+
+def _json_edges(G: DiophGraph):
+    """The `edges` array of G's document, exactly as `json.dumps` writes
+    it, in chunks."""
+    if not G.edge_count:
+        yield b"[]"
+        return
+    yield b"[["
+    yield from _edge_chunks(G, ", ", "], [")
+    yield b"]]"
+
+
+def _require_integers(what: str, values: list) -> None:
+    """Reject any document value that is not a JSON integer: a float, a
+    bool or a string would otherwise be truncated or parsed into one."""
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"graph document has a non-integer {what}: {bad!r}")
 
 
 def _listed_edge_positions(
     vs: tuple[int, ...], edges, shift: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions (lo, hi), lo < hi, of a document's listed edges, checked
-    in one pass: both ends are vertices, distinct, a*b + shift is a
-    square, and no edge is listed twice.  The square test is vectorized
-    where the product stays in the exact float64 range and exact
-    (`is_square`) elsewhere, including labels beyond int64."""
+    in one pass: both ends are integers and vertices, distinct, a*b +
+    shift is a square, and no edge is listed twice.  The square test is
+    vectorized where the product stays in the exact float64 range and
+    exact (`is_square`) elsewhere, including labels beyond int64."""
+    try:
+        _require_integers("edge end", list(chain.from_iterable(edges)))
+    except TypeError as exc:
+        raise ValueError(f"malformed graph document: {exc}") from None
     n = len(vs)
     labels = None if vs and vs[-1] >= 1 << 63 else np.array(vs, dtype=np.int64)
     try:
@@ -638,17 +709,11 @@ def _listed_edge_positions(
     return lo, hi
 
 
-def graph_from_doc(doc: dict) -> DiophGraph:
-    """Rebuild a graph from its document, validating structure, a positive
-    shift, the square property of every listed edge and that no edge is
-    listed twice.  A `schema_version` other than 1 or 2 is rejected; a
-    document without one loads.
-
-    A Diophantine graph is fixed by its vertex set, so a document must
-    list every edge.  Listed edges are checked real and distinct, so the
-    document is complete exactly when it lists as many edges as its
-    vertex set has: `range_edge_count` for {1..N} at shift 1, the pairwise
-    test for every other vertex set and shift."""
+def _doc_header(doc) -> tuple[int, tuple[int, ...]]:
+    """The shift and sorted vertices of a graph document, checked: a
+    readable `schema_version` (1 or 2; a document without one is version
+    1), a positive integer shift, distinct positive integer vertices and,
+    if given, an integer n equal to their count.  `edges` is not read."""
     if not isinstance(doc, dict):
         raise ValueError("malformed graph document: not a JSON object")
     version = doc.get("schema_version", 1)
@@ -658,18 +723,40 @@ def graph_from_doc(doc: dict) -> DiophGraph:
             f"versions {', '.join(map(str, _READABLE_SCHEMA_VERSIONS))}"
         )
     try:
-        shift = int(doc["shift"])
-        vertices = _validate_vertices(doc["vertices"])
-        edges = doc["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+        shift = doc["shift"]
+        vertices = list(doc["vertices"])
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from None
+    _require_integers("shift", [shift])
+    _require_integers("vertex", vertices)
+    vertices = _validate_vertices(vertices)
     if shift < 1:
         raise ValueError(f"graph document has shift {shift}; it must be positive")
-    if "n" in doc and int(doc["n"]) != len(vertices):
-        raise ValueError(
-            f"graph document claims n={doc['n']} but lists {len(vertices)} vertices"
-        )
-    vs = tuple(sorted(vertices))
+    if "n" in doc:
+        _require_integers("n", [doc["n"]])
+        if doc["n"] != len(vertices):
+            raise ValueError(
+                f"graph document claims n={doc['n']} but lists {len(vertices)} vertices"
+            )
+    return shift, tuple(sorted(vertices))
+
+
+def graph_from_doc(doc: dict) -> DiophGraph:
+    """Rebuild a graph from its document, validating structure, a positive
+    shift, integer values throughout, the square property of every listed
+    edge and that no edge is listed twice.  A `schema_version` other than
+    1 or 2 is rejected; a document without one loads.
+
+    A Diophantine graph is fixed by its vertex set, so a document must
+    list every edge.  Listed edges are checked real and distinct, so the
+    document is complete exactly when it lists as many edges as its
+    vertex set has: `range_edge_count` for {1..N} at shift 1, the pairwise
+    test for every other vertex set and shift."""
+    shift, vs = _doc_header(doc)
+    try:
+        edges = doc["edges"]
+    except KeyError as exc:
+        raise ValueError(f"malformed graph document: {exc}") from None
     lo, hi = _listed_edge_positions(vs, edges, shift)
     if shift == 1 and vs and vs[-1] == len(vs):  # {1..N}
         want = range_edge_count(len(vs))
@@ -683,13 +770,22 @@ def graph_from_doc(doc: dict) -> DiophGraph:
     return DiophGraph._from_pairs(vs, lo, hi, shift)
 
 
+# What precedes the edges in the layout save_graph_file writes.
+_EDGES_KEY = b', "edges": '
+
+
 def save_graph_file(G: DiophGraph, path) -> None:
-    """One line of compact JSON.  It is encoded with one `json.dumps`:
-    `json.dump` and any `indent` use the pure-Python encoder."""
-    text = json.dumps(graph_to_doc(G))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """One line of compact JSON, byte-identical to
+    `json.dumps(graph_to_doc(G)) + "\n"`: the fields before `edges` go
+    through `json.dumps`, and the edges are encoded in chunks straight
+    from the adjacency arrays, never as Python pairs."""
+    head = json.dumps(_doc_head(G))
+    with open(path, "wb") as fh:
+        fh.write(head[:-1].encode("ascii"))
+        fh.write(_EDGES_KEY)
+        for piece in _json_edges(G):
+            fh.write(piece)
+        fh.write(b"}\n")
 
 
 def read_json_file(path):
@@ -704,12 +800,53 @@ def read_json_file(path):
             ) from None
 
 
+def _load_canonical(data: bytes) -> DiophGraph | None:
+    """The graph of a document in exactly the layout save_graph_file
+    writes, or None for any other document.
+
+    A graph is fixed by its vertex set and shift, so only the fields
+    before the last `, "edges": ` are parsed (and checked as graph_from_doc
+    checks them); the graph they fix is rebuilt, and its encoded edges
+    must equal the listed ones byte for byte, followed by `}` and
+    whitespace.  The edges are never parsed."""
+    cut = data.rfind(_EDGES_KEY)
+    if cut < 0:
+        return None
+    try:
+        # a header object of at least one field (shift and vertices are
+        # required) stays valid JSON with the edges appended
+        shift, vs = _doc_header(json.loads(data[:cut].decode("utf-8") + "}"))
+        if vs and vs[-1] == len(vs):  # {1..N}
+            G = build_range(len(vs), shift)
+        else:
+            G = build_set(vs, shift)
+    except ValueError:  # including invalid JSON and invalid UTF-8
+        return None
+    pos = cut + len(_EDGES_KEY)
+    for piece in _json_edges(G):
+        if not data.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    if data[pos : pos + 1] != b"}" or data[pos + 1 :].strip(b" \t\n\r"):
+        return None
+    return G
+
+
 def load_graph_file(path) -> DiophGraph:
-    return graph_from_doc(read_json_file(path))
+    """Load a graph document.  A document in the layout save_graph_file
+    writes is checked by rebuilding its graph and comparing encodings;
+    any other document (version 1, indented, reordered or faulty) goes
+    through `read_json_file` and `graph_from_doc`, which accept the same
+    documents and name the fault of any other."""
+    with open(path, "rb") as fh:
+        G = _load_canonical(fh.read())
+    return G if G is not None else graph_from_doc(read_json_file(path))
 
 
 def write_edge_list(G: DiophGraph, path) -> None:
     """One 'a b' line per edge, a < b, lexicographically sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b in G.edges():
-            fh.write(f"{a} {b}\n")
+    with open(path, "wb") as fh:
+        for piece in _edge_chunks(G, " ", "\n"):
+            fh.write(piece)
+        if G.edge_count:
+            fh.write(b"\n")

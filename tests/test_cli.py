@@ -46,13 +46,18 @@ def test_build_then_stats(capsys, tmp_path):
 def test_build_with_out_encodes_the_document_once(capsys, tmp_path, monkeypatch):
     from diograph import graph
 
+    # the edges go from the adjacency arrays to the file: no document
+    # dict and no list of Python pairs is built on the way
     calls = []
-    real = graph.graph_to_doc
-    monkeypatch.setattr(graph, "graph_to_doc", lambda G: calls.append(G) or real(G))
+    real_doc, real_edges = graph.graph_to_doc, graph.DiophGraph.edges
+    monkeypatch.setattr(graph, "graph_to_doc", lambda G: calls.append("doc") or real_doc(G))
+    monkeypatch.setattr(
+        graph.DiophGraph, "edges", lambda G: calls.append("edges") or real_edges(G)
+    )
     gf = tmp_path / "g.json"
     code, out, _ = run_cli(capsys, "build", "--N", "30", "--out", str(gf))
-    assert code == 0 and len(calls) == 1
-    assert json.loads(gf.read_text())["n"] == 30
+    assert code == 0 and calls == []
+    assert gf.read_text() == json.dumps(real_doc(graph.build_range(30))) + "\n"
 
 
 def test_structured_output_is_deterministic(capsys):
@@ -102,6 +107,30 @@ def test_truncated_graph_file_exits_2_with_position(capsys, tmp_path):
     code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
     assert code == 2 and out == ""
     assert f"{gf}:1:{len(text) - 20 + 1}: invalid JSON" in err
+
+
+def test_loading_a_built_file_never_parses_its_edges(capsys, tmp_path, monkeypatch):
+    from diograph import graph
+
+    gf = tmp_path / "g.json"
+    assert run_cli(capsys, "build", "--N", "2000", "--out", str(gf))[0] == 0
+    parsed = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: parsed.append(s) or real(s, *a, **k))
+    monkeypatch.setattr(json, "load", lambda *a, **k: pytest.fail("json.load was called"))
+    assert graph.load_graph_file(gf) == graph.build_range(2000)
+    assert len(parsed) == 1 and "vertices" in parsed[0] and "edges" not in parsed[0]
+
+
+def test_graph_file_with_non_integer_edge_exits_2(capsys, tmp_path):
+    gf = tmp_path / "g.json"
+    assert run_cli(capsys, "build", "--N", "100", "--out", str(gf))[0] == 0
+    text = gf.read_text(encoding="utf-8")
+    assert text.count("[1, 3]") == 1
+    gf.write_text(text.replace("[1, 3]", "[1, 3.0]"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
+    assert code == 2 and out == ""
+    assert "non-integer edge end: 3.0" in err
 
 
 def test_incomplete_graph_file_exits_2(capsys, tmp_path):

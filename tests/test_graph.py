@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from math import isqrt
 
 import numpy as np
@@ -331,6 +332,159 @@ def test_edge_list_export(tmp_path):
     write_edge_list(build_range(8), path)
     lines = path.read_text().strip().splitlines()
     assert lines == [f"{a} {b}" for a, b in N8_EDGES]
+
+
+
+def test_graph_doc_rejects_non_integer_values(tmp_path):
+    # each of these used to load as the triangle {1, 3, 8}: int() and
+    # np.array(..., int64) truncated floats and parsed strings
+    base = {"n": 3, "shift": 1, "vertices": [1, 3, 8], "edges": [[1, 3], [1, 8], [3, 8]]}
+    assert graph_from_doc(base) == build_set([1, 3, 8])
+    path = tmp_path / "g.json"
+    for field, value, named in (
+        ("vertices", [1, 3.7, 8], "vertex: 3.7"),
+        ("vertices", [1, "3", 8], "vertex: '3'"),
+        ("vertices", [1, 3, True], "vertex: True"),
+        ("shift", 1.5, "shift: 1.5"),
+        ("shift", True, "shift: True"),
+        ("shift", "1", "shift: '1'"),
+        ("n", 3.9, "n: 3.9"),
+        ("n", 3.0, "n: 3.0"),
+        ("edges", [[1, 3.2], [1, 8], [3, 8]], "edge end: 3.2"),
+        ("edges", [[1, 3], [True, 8], [3, 8]], "edge end: True"),
+        ("edges", [[1, 3], [1, 8], ["3", "8"]], "edge end: '3'"),
+        ("edges", [[1, 3], [1, 8], [3, None]], "edge end: None"),
+    ):
+        doc = {**base, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"non-integer {named}")):
+            graph_from_doc(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"non-integer {named}")):
+            load_graph_file(path)
+
+
+# the same examples on every run, and nothing written to disk
+PROPERTY_SETTINGS = {"deadline": None, "derandomize": True, "database": None}
+
+
+def test_saved_bytes_are_json_dumps_of_the_document(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path, edges_path = tmp_path / "g.json", tmp_path / "e.txt"
+
+    def check(g):
+        save_graph_file(g, path)
+        assert path.read_bytes() == (json.dumps(graph_to_doc(g)) + "\n").encode()
+        write_edge_list(g, edges_path)
+        assert edges_path.read_text() == "".join(f"{a} {b}\n" for a, b in g.edges())
+
+    for N in (1, 2, 3, 8, 50, 300):
+        check(build_range(N))
+        check(build_range(N, shift=2))
+    # (k - 1, k + 1) and (1, k^2 - 1) are edges at shift 1, so large labels
+    # come with edges
+    pair = st.integers(2, 2**70).map(lambda k: [k - 1, k + 1])
+    square = st.integers(2**31, 2**40).map(lambda k: [1, k * k - 1])
+    single = st.integers(1, 120).map(lambda v: [v])
+    beyond_int64 = st.integers(2**63 - 4, 2**63 + 4).map(lambda v: [v])
+
+    @hypothesis.settings(max_examples=150, **PROPERTY_SETTINGS)
+    @hypothesis.given(
+        st.lists(st.one_of(single, pair, square, beyond_int64), max_size=12),
+        st.sampled_from([1, 2]),
+    )
+    def random_sets(parts, shift):
+        check(build_set({v for part in parts for v in part}, shift))
+
+    random_sets()
+
+
+def _mutate(data: bytes, kind: str, at: int, pick: int) -> bytes:
+    """One edit of a saved document; `at` and `pick` choose where and
+    what."""
+    i = at % (len(data) + 1)
+    if kind == "flip":
+        return data[:i] + bytes([data[i % len(data)] ^ (1 + pick % 255)]) + data[i + 1 :]
+    if kind == "insert":
+        token = (b" ", b"\n", b"\t", b"0", b"7", b"-", b".", b",", b"[", b"]", b"e", b"\xff")
+        return data[:i] + token[pick % len(token)] + data[i:]
+    if kind == "delete":
+        return data[:i] + data[i + 1 + pick % 4 :]
+    if kind == "leading":
+        return (b" ", b"\n", b"\xef\xbb\xbf")[pick % 3] + data  # the last is a UTF-8 BOM
+    if kind == "trailing":
+        tail = (b" \n", b"\r\n", b"x", b"}", b"[]", b", ", b"\n\n")
+        return data + tail[pick % len(tail)]
+    if kind == "space":  # JSON whitespace after a separator
+        seps = [m.end() for m in re.finditer(rb"[,:\[{]", data)]
+        j = seps[at % len(seps)]
+        return data[:j] + (b" ", b"  ", b"\n", b"\t")[pick % 4] + data[j:]
+    numbers = list(re.finditer(rb"\d+", data))
+    if kind == "number":
+        m = numbers[at % len(numbers)]
+        num = m.group()
+        forms = (b"0" + num, num + b".0", b"-" + num, num + b"e0", b"1e3", b"true",
+                 b'"' + num + b'"', str(int(num) + 1).encode(), str(int(num) - 1).encode())
+        return data[: m.start()] + forms[pick % len(forms)] + data[m.end() :]
+    pairs = list(re.finditer(rb"\[\d+, \d+\]", data))
+    if kind == "duplicate-key":
+        if pick % 2:
+            return data[:1] + b'"edges": [[1, 3]], ' + data[1:]
+        return data.rstrip()[:-1] + b', "edges": [[1, 3]]}'
+    if not pairs:
+        return data
+    m = pairs[at % len(pairs)]
+    if kind == "cut-edge":
+        start, end = m.start(), m.end()
+        if data[end : end + 2] == b", ":
+            end += 2
+        elif data[start - 2 : start] == b", ":
+            start -= 2
+        return data[:start] + data[end:]
+    # repeat an edge
+    return data[: m.end()] + b", " + m.group() + data[m.end() :]
+
+
+def test_loader_agrees_with_the_general_path_on_mutated_documents(tmp_path):
+    from diograph.graph import _load_canonical, read_json_file
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "g.json"
+
+    def outcome(load):
+        try:
+            return load()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    sources = [build_range(N) for N in (1, 2, 8, 30)] + [
+        build_range(20, shift=2),
+        build_set(K4_WITNESS),
+        build_set([1, 3, 2**66 - 1, 2**80]),
+    ]
+    kinds = ("flip", "insert", "delete", "leading", "trailing", "space", "number",
+             "duplicate-key", "cut-edge", "repeat-edge")
+
+    @hypothesis.settings(max_examples=400, **PROPERTY_SETTINGS)
+    @hypothesis.given(
+        st.sampled_from(range(len(sources))),
+        st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 10**6), st.integers(0, 10**3)),
+                 min_size=1, max_size=2),
+    )
+    def check(source, edits):
+        save_graph_file(sources[source], path)
+        data = path.read_bytes()
+        for kind, at, pick in edits:
+            data = _mutate(data, kind, at, pick)
+        path.write_bytes(data)
+        general = outcome(lambda: graph_from_doc(read_json_file(path)))
+        fast = _load_canonical(data)
+        if fast is not None:
+            assert general == fast
+        assert outcome(lambda: load_graph_file(path)) == general
+
+    check()
 
 
 def test_shift_2_graph():
