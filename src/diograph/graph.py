@@ -652,7 +652,9 @@ def _listed_edge_positions(
     vectorized where the product stays in the exact float64 range and
     exact (`is_square`) elsewhere, including labels beyond int64."""
     try:
-        _require_integers("edge end", list(chain.from_iterable(edges)))
+        # one pass over the ends and no list of them unless one is faulty
+        if set(map(type, chain.from_iterable(edges))) - {int}:
+            _require_integers("edge end", list(chain.from_iterable(edges)))
     except TypeError as exc:
         raise ValueError(f"malformed graph document: {exc}") from None
     n = len(vs)
@@ -801,14 +803,16 @@ def read_json_file(path):
 
 
 def _load_canonical(data: bytes) -> DiophGraph | None:
-    """The graph of a document in exactly the layout save_graph_file
-    writes, or None for any other document.
+    """The graph of a {1..N} document at shift 1 in exactly the layout
+    save_graph_file writes, or None for any other document.
 
     A graph is fixed by its vertex set and shift, so only the fields
     before the last `, "edges": ` are parsed (and checked as graph_from_doc
-    checks them); the graph they fix is rebuilt, and its encoded edges
-    must equal the listed ones byte for byte, followed by `}` and
-    whitespace.  The edges are never parsed."""
+    checks them); `build_range` rebuilds the graph they fix, and its
+    encoded edges must equal the listed ones byte for byte, followed by
+    `}` and whitespace.  The edges are never parsed.  Other vertex sets
+    are left to the general path: their rebuild is the quadratic pairwise
+    test, which would run before the first byte is compared."""
     cut = data.rfind(_EDGES_KEY)
     if cut < 0:
         return None
@@ -816,12 +820,11 @@ def _load_canonical(data: bytes) -> DiophGraph | None:
         # a header object of at least one field (shift and vertices are
         # required) stays valid JSON with the edges appended
         shift, vs = _doc_header(json.loads(data[:cut].decode("utf-8") + "}"))
-        if vs and vs[-1] == len(vs):  # {1..N}
-            G = build_range(len(vs), shift)
-        else:
-            G = build_set(vs, shift)
     except ValueError:  # including invalid JSON and invalid UTF-8
         return None
+    if not (shift == 1 and vs and vs[-1] == len(vs)):  # as graph_from_doc tests {1..N}
+        return None
+    G = build_range(len(vs))
     pos = cut + len(_EDGES_KEY)
     for piece in _json_edges(G):
         if not data.startswith(piece, pos):
@@ -833,11 +836,12 @@ def _load_canonical(data: bytes) -> DiophGraph | None:
 
 
 def load_graph_file(path) -> DiophGraph:
-    """Load a graph document.  A document in the layout save_graph_file
-    writes is checked by rebuilding its graph and comparing encodings;
-    any other document (version 1, indented, reordered or faulty) goes
-    through `read_json_file` and `graph_from_doc`, which accept the same
-    documents and name the fault of any other."""
+    """Load a graph document.  A {1..N} document at shift 1 in the layout
+    save_graph_file writes is checked by rebuilding its graph and
+    comparing encodings; any other document (another vertex set or
+    shift, version 1, indented, reordered or faulty) goes through
+    `read_json_file` and `graph_from_doc`, which accept the same documents
+    and name the fault of any other."""
     with open(path, "rb") as fh:
         G = _load_canonical(fh.read())
     return G if G is not None else graph_from_doc(read_json_file(path))

@@ -487,6 +487,20 @@ def test_loader_agrees_with_the_general_path_on_mutated_documents(tmp_path):
     check()
 
 
+def test_only_range_documents_take_the_rebuild_path(tmp_path):
+    from diograph.graph import _load_canonical
+
+    path = tmp_path / "g.json"
+    for g in (build_range(1), build_range(30), build_range(20, shift=2), build_set(K4_WITNESS)):
+        save_graph_file(g, path)
+        fast = _load_canonical(path.read_bytes())
+        if g.shift == 1 and g.vertices == tuple(range(1, g.n + 1)):
+            assert fast == g
+        else:
+            assert fast is None
+        assert load_graph_file(path) == g
+
+
 def test_shift_2_graph():
     g = build_range(100, shift=2)
     assert g.edges() == brute_edges(range(1, 101), shift=2)
