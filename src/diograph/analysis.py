@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, log
+from math import isfinite, isqrt, log
 
 import numpy as np
 
@@ -119,8 +119,9 @@ def heuristic_top(N: int, count: int) -> list[int]:
     score = s.astype(np.float64) ** 2
     score[1:] /= np.arange(1, N + 1, dtype=np.float64)
     score[0] = -1.0
+    np.negative(score, out=score)  # argpartition the negation in place, not a copy
     take = min(N, count + 256)
-    cands = np.argpartition(-score, take - 1)[:take]
+    cands = np.argpartition(score, take - 1)[:take]
     ranked = sorted(
         (int(a) for a in cands),
         key=lambda a: (Fraction(-int(s[a]) ** 2, a), a),
@@ -152,8 +153,8 @@ def omega_distribution(x: int, C: float | None = None) -> OmegaDistribution:
     counts = tuple(int(c) for c in np.bincount(omega[1 : x + 1]))
     if C is None:
         return OmegaDistribution(x, counts)
-    if C <= 1:
-        raise ValueError(f"C must exceed 1, got {C}")
+    if not (isfinite(C) and C > 1):
+        raise ValueError(f"C must be a finite number above 1, got {C}")
     if x < 3:
         raise ValueError("tail check needs x >= 3")
     threshold = C * log(log(x))

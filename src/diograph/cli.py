@@ -5,6 +5,9 @@ human-readable by default, a single JSON document with a schema_version
 field under --format json.  Long searches report progress on stderr
 only.  Exit status 0 means success, 1 a negative decision (not
 colorable, no path, representation unknown), 2 a usage or input error.
+
+Each handler imports the modules it runs, so `dplus`, `neighbors`,
+`extend` and `represent` start without numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import analysis, coloring, extension, graph
+if TYPE_CHECKING:
+    from .graph import DiophGraph
 
 SCHEMA_VERSION = 1
 
@@ -40,19 +45,34 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The comma-separated integers given to --flag; an empty or
+    non-integer field is an error naming the flag and the field."""
+    values = []
+    for k, field in enumerate(text.split(","), start=1):
+        try:
+            values.append(int(field))
+        except ValueError:
+            raise ValueError(f"--{flag} field {k} is not an integer: {field!r}") from None
+    return values
+
+
 def _emit(cfg: CommandConfig, doc: dict, human_lines: list[str]) -> None:
     if cfg.fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": cfg.subcommand, **doc}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        # NaN and Infinity are not JSON; refusing them is a ValueError (exit 2)
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in human_lines:
             print(line)
 
 
-def _load_source_graph(cfg: CommandConfig) -> tuple[graph.DiophGraph, list[int] | None]:
+def _load_source_graph(cfg: CommandConfig) -> tuple[DiophGraph, list[int] | None]:
     """Build the working graph from --graph-file, --witness-file or --N.
     Returns the graph and, for witness files, the listed vertex order
     (used as the default branch order)."""
+    from . import graph
+
     p = cfg.params
     shift = p["shift"]
     if p.get("graph_file"):
@@ -73,6 +93,8 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_build(cfg: CommandConfig) -> int:
+    from . import graph
+
     G, _ = _load_source_graph(cfg)
     out = cfg.params.get("out")
     if out:
@@ -89,6 +111,8 @@ def _cmd_build(cfg: CommandConfig) -> int:
 
 
 def _cmd_stats(cfg: CommandConfig) -> int:
+    from . import graph
+
     G, _ = _load_source_graph(cfg)
     st = graph.stats(G)
     doc = {
@@ -110,6 +134,8 @@ def _cmd_stats(cfg: CommandConfig) -> int:
 
 
 def _cmd_color(cfg: CommandConfig) -> int:
+    from . import coloring
+
     G, order = _load_source_graph(cfg)
     k = _positive("k", cfg.params["k"])
     t0 = time.perf_counter()
@@ -143,6 +169,8 @@ def _cmd_color(cfg: CommandConfig) -> int:
 
 
 def _cmd_chroma(cfg: CommandConfig) -> int:
+    from . import coloring
+
     G, _ = _load_source_graph(cfg)
     chi = coloring.chromatic_number(G)
     _emit(cfg, {"chromatic_number": chi}, [str(chi)])
@@ -150,6 +178,8 @@ def _cmd_chroma(cfg: CommandConfig) -> int:
 
 
 def _cmd_minimal(cfg: CommandConfig) -> int:
+    from . import coloring
+
     G, order = _load_source_graph(cfg)
     k = _positive("k", cfg.params["k"])
     t0 = time.perf_counter()
@@ -171,8 +201,11 @@ def _cmd_minimal(cfg: CommandConfig) -> int:
 
 
 def _cmd_extend(cfg: CommandConfig) -> int:
+    from . import extension
+    from .witnesses import load_witness_file
+
     p = cfg.params
-    values = graph.load_witness_file(p["witness_file"])
+    values = load_witness_file(p["witness_file"])
     request = extension.ExtensionRequest(
         V=tuple(values),
         mode=p["mode"],
@@ -186,8 +219,10 @@ def _cmd_extend(cfg: CommandConfig) -> int:
 
 
 def _cmd_neighbors(cfg: CommandConfig) -> int:
+    from . import extension
+
     p = cfg.params
-    values = [int(x) for x in p["set"].split(",") if x.strip()]
+    values = _int_list("set", p["set"])
     if p.get("bound") is not None:
         found = extension.common_neighbors_bounded(values, _positive("bound", p["bound"]))
         mode = "bounded"
@@ -202,7 +237,14 @@ def _cmd_neighbors(cfg: CommandConfig) -> int:
 
 
 def _cmd_dplus(cfg: CommandConfig) -> int:
-    a, b, c = (int(x) for x in cfg.params["triple"].split(","))
+    from . import extension
+
+    values = _int_list("triple", cfg.params["triple"])
+    if len(values) != 3:
+        raise ValueError(
+            f"--triple needs exactly three comma-separated integers, got {len(values)}"
+        )
+    a, b, c = values
     triple = extension.RegularTriple.from_values(a, b, c)
     d_minus, d_plus = extension.regular_extensions(triple)
     _emit(cfg, {"triple": [a, b, c], "d_minus": d_minus, "d_plus": d_plus},
@@ -211,6 +253,8 @@ def _cmd_dplus(cfg: CommandConfig) -> int:
 
 
 def _cmd_prune(cfg: CommandConfig) -> int:
+    from . import analysis, graph
+
     G, _ = _load_source_graph(cfg)
     pruned, trace = analysis.prune_low_degree(G)
     if cfg.params.get("out"):
@@ -238,6 +282,8 @@ def _cmd_prune(cfg: CommandConfig) -> int:
 
 
 def _cmd_hamilton(cfg: CommandConfig) -> int:
+    from . import analysis
+
     G, _ = _load_source_graph(cfg)
     if cfg.params["cycle"]:
         exists = analysis.hamiltonian_cycle_exists(G)
@@ -257,7 +303,10 @@ def _cmd_hamilton(cfg: CommandConfig) -> int:
 
 
 def _cmd_represent(cfg: CommandConfig) -> int:
-    doc = graph.read_json_file(cfg.params["graph_file"])
+    from . import extension
+    from .witnesses import read_json_file
+
+    doc = read_json_file(cfg.params["graph_file"])
     try:
         vertices = doc["vertices"]
         edges = [(a, b) for a, b in doc["edges"]]
@@ -291,6 +340,8 @@ def _cmd_represent(cfg: CommandConfig) -> int:
 
 
 def _cmd_rank(cfg: CommandConfig) -> int:
+    from . import analysis
+
     N = _positive("N", cfg.params["N"])
     top = _positive("top", cfg.params["top"])
     ranked = analysis.heuristic_top(N, top)
@@ -299,6 +350,8 @@ def _cmd_rank(cfg: CommandConfig) -> int:
 
 
 def _cmd_omega(cfg: CommandConfig) -> int:
+    from . import analysis
+
     x = _positive("x", cfg.params["x"])
     dist = analysis.omega_distribution(x, cfg.params.get("C"))
     doc = {"x": x, "counts": list(dist.counts)}

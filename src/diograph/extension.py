@@ -11,6 +11,9 @@ re-verified post hoc, never trusted.  Square-free-part freshness is
 checked via the product test (x and y share a square-free part iff x*y
 is a perfect square), which stays exact for orbit elements far beyond
 factoring range.
+
+Nothing here needs numpy: `graph` (and so numpy) is imported only by
+family_k5_minus_edge and by the verification of a found representation.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from functools import cache
 from itertools import combinations
 from math import gcd, isqrt
 
-from .graph import build_set, edge_test
 from .numtheory import (
     _count_unit_roots,
     _crt_unit_roots,
@@ -469,6 +471,8 @@ def family_k5_minus_edge(k: int) -> tuple[int, int, int, int, int]:
     regular extension of its three largest elements."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    from .graph import build_set
+
     values = (
         k - 1,
         k + 1,
@@ -526,6 +530,8 @@ def _contains_k5(adj: list[int]) -> bool:
 
 
 def _verify_mapping(vertices: list, adj: list[int], mapping: dict) -> bool:
+    from .graph import edge_test
+
     return all(
         edge_test(mapping[vertices[i]], mapping[vertices[j]]) == bool(adj[i] >> j & 1)
         for i, j in combinations(range(len(vertices)), 2)

@@ -27,6 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .numtheory import _prime_power_split, _unit_root_batches, is_square
+from .witnesses import WitnessFileError, load_witness_file, read_json_file, save_witness_file
 
 __all__ = [
     "DiophGraph",
@@ -64,10 +65,6 @@ _NUMPY_MIN_VERTICES = 64
 
 class GraphDefectError(RuntimeError):
     """A structural impossibility was observed (e.g. a 5-clique at shift 1)."""
-
-
-class WitnessFileError(ValueError):
-    """Malformed witness file; the message carries the offending line."""
 
 
 class DiophGraph:
@@ -532,39 +529,6 @@ def induced(G: DiophGraph, subset) -> DiophGraph:
 # ---------------------------------------------------------------------------
 
 
-def load_witness_file(path) -> list[int]:
-    """Read a witness file: one positive decimal integer per line, '#'
-    comments, no duplicates.  The listed order is preserved."""
-    values: list[int] = []
-    seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                v = int(line)
-            except ValueError:
-                raise WitnessFileError(
-                    f"{path}:{lineno}: not a decimal integer: {line!r}"
-                ) from None
-            if v < 1:
-                raise WitnessFileError(f"{path}:{lineno}: not positive: {v}")
-            if v in seen:
-                raise WitnessFileError(f"{path}:{lineno}: duplicate value: {v}")
-            seen.add(v)
-            values.append(v)
-    return values
-
-
-def save_witness_file(values, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for v in values:
-            fh.write(f"{v}\n")
-
-
 def _doc_head(G: DiophGraph) -> dict:
     """Every field of G's document but `edges`, in document order."""
     return {
@@ -788,18 +752,6 @@ def save_graph_file(G: DiophGraph, path) -> None:
         for piece in _json_edges(G):
             fh.write(piece)
         fh.write(b"}\n")
-
-
-def read_json_file(path):
-    """Parse a JSON file; invalid JSON is a ValueError naming
-    `path:line:column`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            ) from None
 
 
 def _load_canonical(data: bytes) -> DiophGraph | None:

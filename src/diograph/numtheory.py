@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported by the whole-range functions only
+    import numpy as np
 
 __all__ = [
     "Factorization",
@@ -57,6 +58,8 @@ class FactorizationBudgetError(ValueError):
 def _build_spf(bound: int) -> np.ndarray:
     """spf[a] is the smallest prime factor of a in [2, bound); spf[0] = 0
     and spf[1] = 1."""
+    import numpy as np
+
     spf = np.zeros(bound, dtype=np.int32)
     for i in range(2, isqrt(bound - 1) + 1):
         if spf[i] == 0:
@@ -421,6 +424,8 @@ def _prime_power_split(N: int) -> _PrimePowerSplit:
     tables fill in about log2(N) vectorised passes: omega[a] = omega[m] + 1
     and S[a] = S[m] * S(q), where S(q) is 2 for odd p and 1, 2 or 4 for
     q = 2, 4 or a higher power of 2."""
+    import numpy as np
+
     if not 0 <= N < 2**31:  # int32 holds every entry
         raise ValueError(f"N must be below 2**31, got {N}")
     spf = _build_spf(N + 1)
@@ -445,6 +450,8 @@ def _inverse_mod_prime_powers(m: np.ndarray, q: np.ndarray, p: np.ndarray) -> np
     """m^-1 mod q elementwise, for int64 m coprime to q = p^e < 2**31, as
     m^(phi(q) - 1) by square-and-multiply.  Most q are small, so an entry
     leaves the working set as soon as its exponent runs out."""
+    import numpy as np
+
     u = np.ones_like(m)
     base = m % q
     at = np.flatnonzero(base > 1)  # else u = 1
@@ -476,6 +483,8 @@ def _unit_root_batches(N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     q^2 <= N^2.  A batch never spans a doubling of a, so the roots of
     m <= a/2 were lifted by an earlier batch; only the roots of a <= N/2
     are kept for that (int32, since x < a)."""
+    import numpy as np
+
     spf, m, _, S = _prime_power_split(max(N, 0))
     half = N // 2
     start = np.zeros(half + 2, dtype=np.int64)  # a's roots: kept[start[a]:start[a + 1]]
@@ -506,6 +515,8 @@ def _lift_roots(a0, a1, spf, m, S, start, kept) -> tuple[np.ndarray, np.ndarray]
     so each root s of m is lifted once, with t = 1, to x; the roots of a
     are x and a - x for every s, plus y = x + a/2 (mod a) and a - y when
     q = 2^e >= 8 (t = 2^(e-1) + 1 then), and just x when q = 2."""
+    import numpy as np
+
     a = np.arange(a0, a1, dtype=np.int64)
     mm = m[a0:a1].astype(np.int64)
     qq = a // mm

@@ -1,4 +1,10 @@
-"""Known witness sets used across the toolkit and its tests."""
+"""Known witness sets used across the toolkit and its tests, and the
+readers and writer of witness and JSON files.  Nothing here needs numpy,
+so the scalar commands read their inputs without it."""
+
+from __future__ import annotations
+
+import json
 
 # The unique Diophantine quadruple extending {1, 3, 8}.
 K4_WITNESS = (1, 3, 8, 120)
@@ -23,3 +29,52 @@ FIVE_CHROMATIC_WITNESS = (
     240, 2184, 280, 16, 21, 32, 44, 156, 816, 380, 13, 39, 72, 80, 96, 462,
     528, 1140, 2380, 23, 102, 105, 110, 152, 264, 456, 858, 2520, 1365,
 )
+
+
+class WitnessFileError(ValueError):
+    """Malformed witness file; the message carries the offending line."""
+
+
+def load_witness_file(path) -> list[int]:
+    """Read a witness file: one positive decimal integer per line, '#'
+    comments, no duplicates.  The listed order is preserved."""
+    values: list[int] = []
+    seen: set[int] = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                v = int(line)
+            except ValueError:
+                raise WitnessFileError(
+                    f"{path}:{lineno}: not a decimal integer: {line!r}"
+                ) from None
+            if v < 1:
+                raise WitnessFileError(f"{path}:{lineno}: not positive: {v}")
+            if v in seen:
+                raise WitnessFileError(f"{path}:{lineno}: duplicate value: {v}")
+            seen.add(v)
+            values.append(v)
+    return values
+
+
+def save_witness_file(values, path, comment: str | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        for v in values:
+            fh.write(f"{v}\n")
+
+
+def read_json_file(path):
+    """Parse a JSON file; invalid JSON is a ValueError naming
+    `path:line:column`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+            ) from None

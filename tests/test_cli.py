@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from diograph.cli import main
+from diograph.cli import CommandConfig, _emit, main
 from diograph.numtheory import is_square
 from diograph.witnesses import FIVE_CHROMATIC_WITNESS, K4_WITNESS
 
@@ -430,6 +430,39 @@ def test_omega_command(capsys):
     assert doc["counts"][0] == 1 and doc["counts"][1] == 35
 
 
+@pytest.mark.parametrize("C", ["nan", "inf", "-inf"])
+def test_omega_rejects_a_non_finite_C(capsys, C):
+    for fmt in ("human", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, "omega", "--x", "100", f"--C={C}")
+        assert (code, out) == (2, "")
+        assert f"C must be a finite number above 1, got {C}" in err
+
+
+def test_json_output_refuses_nan_and_infinity(capsys):
+    # strict JSON has no NaN or Infinity, so no command may print them
+    cfg = CommandConfig(subcommand="omega", fmt="json", params={})
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _emit(cfg, {"C": value}, [])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dplus", "--triple", "1,3"],
+     "--triple needs exactly three comma-separated integers, got 2"),
+    (["dplus", "--triple", "1,3,8,4"],
+     "--triple needs exactly three comma-separated integers, got 4"),
+    (["dplus", "--triple", "1,x,8"], "--triple field 2 is not an integer: 'x'"),
+    (["neighbors", "--set", "3,x"], "--set field 2 is not an integer: 'x'"),
+    (["neighbors", "--set", "3,,8", "--bound", "100"], "--set field 2 is not an integer: ''"),
+    (["neighbors", "--set", "1,3,8,", "--bound", "100"], "--set field 4 is not an integer: ''"),
+])
+def test_integer_list_flags_name_the_bad_field(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_malformed_witness_file_gives_line_number(capsys, tmp_path):
     wf = tmp_path / "bad.txt"
     wf.write_text("1\n3\nnot-a-number\n", encoding="utf-8")
@@ -453,3 +486,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "120"
+
+
+def test_scalar_commands_start_without_numpy(tmp_path):
+    # dplus, neighbors, extend and represent do no array work: running
+    # them must import neither numpy nor the array-backed modules
+    quad, k33 = tmp_path / "quad.txt", tmp_path / "k33.json"
+    quad.write_text("".join(f"{v}\n" for v in K4_WITNESS), encoding="utf-8")
+    k33.write_text(json.dumps({"vertices": [1, 2, 3, 4, 5, 6],
+                               "edges": [[a, b] for a in (1, 2, 3) for b in (4, 5, 6)]}),
+                   encoding="utf-8")
+    argvs = [
+        ["dplus", "--triple", "1,3,8"],
+        ["neighbors", "--set", "1,16"],
+        ["neighbors", "--set", "306,308,1228", "--bound", "1000000"],
+        ["extend", "--witness-file", str(quad), "--mode", "isolated", "--count", "2"],
+        ["represent", "--graph-file", str(k33), "--budget", "2000"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from diograph.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "heavy = ['numpy', 'diograph.graph', 'diograph.analysis', 'diograph.coloring']\n"
+        "print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 1]  # represent ends "unknown" within its budget
+    assert loaded == []
