@@ -29,6 +29,7 @@ _EXPORTS = {
         "mod4_coloring_shift2",
     ),
     "extension": (
+        "NeighborBudgetError",
         "RegularTriple",
         "common_neighbors_bounded",
         "common_neighbors_equal_sqfree",

@@ -13,7 +13,7 @@ is a perfect square), which stays exact for orbit elements far beyond
 factoring range.
 
 Nothing here needs numpy: `graph` (and so numpy) is imported only by
-family_k5_minus_edge and by the verification of a found representation.
+family_k5_minus_edge.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .pell import PellBudgetError, PellInstance, PellUnit, fundamental_unit, uni
 
 __all__ = [
     "ExtensionRequest",
+    "NeighborBudgetError",
     "PendantPlan",
     "RegularTriple",
     "RepresentResult",
@@ -55,6 +56,15 @@ __all__ = [
 # Consecutive candidate rejections before the generators give up; the
 # constructions succeed infinitely often, so hitting this is a defect.
 _GENERATOR_STALL_LIMIT = 512
+# Candidates common_neighbors_bounded may test: about a second of work in
+# CPython on a 2-core host, far above the few thousand a bounded neighbour
+# query of small elements needs (and the 500 of a representation pool).
+_NEIGHBOR_CANDIDATE_BUDGET = 500_000
+
+
+class NeighborBudgetError(ValueError):
+    """A bounded common-neighbor search would test more than
+    _NEIGHBOR_CANDIDATE_BUDGET candidates."""
 
 
 def _validate_witness(V) -> list[int]:
@@ -397,7 +407,9 @@ def common_neighbors_bounded(S, bound: int) -> list[int]:
     filter.  When the S(m) classes hold more r than there are w <= bound
     (m has many prime factors), each w is tested directly instead and the
     roots are never listed, so after one `factorize(m)` the work is at
-    most `bound` candidates either way."""
+    most `bound` candidates either way.  A search that would test more
+    than _NEIGHBOR_CANDIDATE_BUDGET candidates raises NeighborBudgetError
+    before it starts."""
     values = sorted(_validate_witness(S))
     if not values:
         raise ValueError("S must be nonempty")
@@ -408,7 +420,14 @@ def common_neighbors_bounded(S, bound: int) -> list[int]:
     sset = set(values)
     rmax = isqrt(m * bound + 1)
     factors = factorize(m).factors
-    if _count_unit_roots(factors) * (rmax // m + 1) > bound:
+    walk = _count_unit_roots(factors) * (rmax // m + 1)
+    work = min(walk, bound)
+    if work > _NEIGHBOR_CANDIDATE_BUDGET:
+        raise NeighborBudgetError(
+            f"common neighbors of {values} up to {bound} need {work} candidate "
+            f"tests, above the budget of {_NEIGHBOR_CANDIDATE_BUDGET}"
+        )
+    if walk > bound:
         return [
             w for w in range(1, bound + 1)
             if w not in sset and all(is_square(v * w + 1) for v in values)
@@ -530,12 +549,15 @@ def _contains_k5(adj: list[int]) -> bool:
 
 
 def _verify_mapping(vertices: list, adj: list[int], mapping: dict) -> bool:
-    from .graph import edge_test
-
-    return all(
-        edge_test(mapping[vertices[i]], mapping[vertices[j]]) == bool(adj[i] >> j & 1)
-        for i, j in combinations(range(len(vertices)), 2)
-    )
+    """Whether the mapped values are distinct and adjacent (ab + 1 a
+    square) exactly where the target's edges are."""
+    for i, j in combinations(range(len(vertices)), 2):
+        a, b = mapping[vertices[i]], mapping[vertices[j]]
+        if a == b:
+            raise ValueError(f"two target vertices map to {a}")
+        if is_square(a * b + 1) != bool(adj[i] >> j & 1):
+            return False
+    return True
 
 
 def _search_core(

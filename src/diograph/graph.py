@@ -236,6 +236,13 @@ def _csr_arrays(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, keys
 
 
+def _row_cuts(indptr: np.ndarray, entries: int) -> list[int]:
+    """Row boundaries, from 0 to n, that split the adjacency into runs of
+    whole rows starting at every `entries` adjacency entries."""
+    firsts = np.searchsorted(indptr, np.arange(0, indptr[-1], entries), "right") - 1
+    return np.unique(np.append(firsts, len(indptr) - 1)).tolist()
+
+
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     """Row pointers of n rows from the sorted row of every entry."""
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -367,51 +374,114 @@ class GraphStats:
     components: int
 
 
-def _clique_number(G: DiophGraph, cap: int = 5) -> int:
-    """Largest clique size, searched exhaustively up to `cap`.
+# Clique sizes the search looks for: a Diophantine quintuple does not
+# exist, so at shift 1 a clique of this size is a defect.
+_CLIQUE_CAP = 5
+# Clique-search work per chunk: adjacency entries per forward-key pass and
+# candidate pairs per forward-list matrix, each costing a few int64 words.
+_CLIQUE_CHUNK = 1 << 16
 
-    Every edge is oriented from the endpoint of smaller (degree, label)
-    to the other (Chiba & Nishizeki 1985), so each clique is found once,
-    from its first vertex, inside that vertex's forward neighbors, and
-    the forward sets stay small (at most 25 on {1..10^5}).
 
-    At shift 1 a clique of size `cap` (= 5) contradicts the nonexistence
-    of Diophantine quintuples, so hitting it raises GraphDefectError.
+def _forward_keys(G: DiophGraph, rank: np.ndarray) -> np.ndarray:
+    """Sorted keys rank[u] * n + rank[v] of every edge uv oriented towards
+    its higher rank, built over chunks of rows.  The keys of one source
+    form its forward list, ascending by rank."""
+    n, indptr, indices = G.n, G.indptr, G.indices
+    keys = np.empty(G.edge_count, dtype=np.int64)
+    filled = 0
+    cuts = _row_cuts(indptr, _CLIQUE_CHUNK)
+    for r0, r1 in zip(cuts, cuts[1:]):
+        src = np.repeat(rank[r0:r1], np.diff(indptr[r0 : r1 + 1]))
+        dst = rank[indices[indptr[r0] : indptr[r1]]]
+        forward = dst > src
+        chunk = src[forward]
+        chunk *= n
+        chunk += dst[forward]
+        keys[filled : filled + len(chunk)] = chunk
+        filled += len(chunk)
+    keys.sort()
+    return keys
+
+
+def _grow_cliques(adj: np.ndarray, best: int) -> tuple[int, tuple | None]:
+    """Cliques inside m forward lists of length d, whose pairs i < j are
+    adjacent where adj[row, i, j] (an (m, d, d) bool array, zero on and
+    below the diagonal).  A clique is its row's source vertex plus list
+    positions, ascending; it grows by the later positions adjacent to all
+    of its members, kept as a candidate mask.  Cliques that cannot pass
+    `best` are dropped.  Returns `best` raised to the largest clique size
+    seen, and (row, positions) of a clique of size _CLIQUE_CAP once one
+    is found, else None."""
+    m, d, _ = adj.shape
+    rows = np.repeat(np.arange(m), d)
+    members = np.tile(np.arange(d), m)[:, None]
+    cands = adj.reshape(m * d, d)
+    size = 2
+    best = max(best, size)
+    while True:
+        keep = np.flatnonzero(cands.sum(axis=1) > best - size)
+        t, x = np.nonzero(cands[keep])
+        if not len(t):
+            return best, None
+        t = keep[t]
+        rows, members = rows[t], np.column_stack([members[t], x])
+        cands = cands[t] & adj[rows, x]
+        size += 1
+        best = max(best, size)
+        if size >= _CLIQUE_CAP:
+            return size, (int(rows[0]), members[0])
+
+
+def _clique_number(G: DiophGraph) -> int:
+    """Largest clique size, searched exhaustively up to _CLIQUE_CAP (5).
+
+    Ordered k-clique listing (Chiba & Nishizeki 1985; Danisch, Balalau &
+    Sozio 2018) on arrays.  Every edge is oriented from the endpoint of
+    smaller (degree, label) to the other, so each clique is found once,
+    inside the forward list of its first vertex, and the forward lists
+    stay short (at most 25 entries on {1..10^5}).  The oriented edges are
+    one sorted array of keys (`_forward_keys`).  The sources of each
+    forward degree d go in chunks of about _CLIQUE_CHUNK candidate pairs:
+    their forward lists form an (m, d) matrix, `np.searchsorted` on the
+    keys finds which pairs i < j of each row are adjacent, and cliques
+    grow from there (`_grow_cliques`).  The chunks bound the memory to a
+    few arrays of _CLIQUE_CHUNK words beside the keys.
+
+    At shift 1 a clique of size 5 contradicts the nonexistence of
+    Diophantine quintuples, so finding one raises GraphDefectError naming
+    its labels; at other shifts the search returns 5.
     """
     n = G.n
     if n == 0:
         return 0
-    deg = G._degrees()
+    order = np.argsort(G._degrees(), kind="stable")
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int64)
-    rows = G._rows()
-    forward = rank[G.indices] > rank[rows]
-    fptr = _indptr(rows[forward], n).tolist()
-    fl = G.indices[forward].tolist()
-    fwd = list(map(frozenset, map(fl.__getitem__, map(slice, fptr[:-1], fptr[1:]))))
+    rank[order] = np.arange(n, dtype=np.int64)
+    keys = _forward_keys(G, rank)
+    fptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    fdeg = np.diff(fptr)
     best = 1
-    for v, cands in enumerate(fwd):
-        if len(cands) < best:
-            continue
-        # depth-first: each frame is (clique, its common candidates, the
-        # candidates not yet tried)
-        stack = [([v], cands, iter(cands))]
-        while stack:
-            clique, cands, untried = stack[-1]
-            u = next(untried, None)
-            if u is None:
-                stack.pop()
-                continue
-            grown, common = clique + [u], cands & fwd[u]
-            if len(grown) > best:
-                best = len(grown)
-                if best >= cap:
-                    if G.shift == 1:
-                        labels = sorted(G.vertices[i] for i in grown)
-                        raise GraphDefectError(f"{cap}-clique found at shift 1: {labels}")
-                    return cap
-            if len(grown) + len(common) > best:
-                stack.append((grown, common, iter(common)))
+    for d in np.unique(fdeg)[::-1].tolist():
+        if d < best:  # a source of forward degree d is in cliques of at most d + 1
+            break
+        sources = np.flatnonzero(fdeg == d)
+        lo, hi = np.triu_indices(d, 1)
+        step = max(1, _CLIQUE_CHUNK // max(len(lo), 1))
+        for c0 in range(0, len(sources), step):
+            src = sources[c0 : c0 + step]
+            fwd = keys[fptr[src][:, None] + np.arange(d)] % n
+            pairs = fwd[:, lo] * n + fwd[:, hi]
+            at = np.minimum(np.searchsorted(keys, pairs), len(keys) - 1)
+            adj = np.zeros((len(src), d, d), dtype=bool)
+            adj[:, lo, hi] = keys[at] == pairs
+            best, found = _grow_cliques(adj, best)
+            if found is not None:
+                if G.shift == 1:
+                    row, pos = found
+                    clique = [src[row], *fwd[row, pos].tolist()]
+                    labels = sorted(G.vertices[i] for i in order[clique].tolist())
+                    raise GraphDefectError(f"{_CLIQUE_CAP}-clique found at shift 1: {labels}")
+                return _CLIQUE_CAP
     return best
 
 
@@ -567,10 +637,8 @@ def _edge_chunks(G: DiophGraph, inner: str, between: str):
     head_width = width + (len(between) + len(inner))
     head = np.cumsum(head_width) - head_width
     tail = head + len(between)
-    # row cuts at every 2 * _CHUNK_EDGES adjacency entries, each edge being
-    # listed in both of its rows
-    firsts = np.searchsorted(indptr, np.arange(0, indptr[-1], 2 * _CHUNK_EDGES), "right") - 1
-    cuts = np.unique(np.append(firsts, n)).tolist()
+    # each edge is listed in both of its rows
+    cuts = _row_cuts(indptr, 2 * _CHUNK_EDGES)
     skip = len(between)  # nothing comes before the first edge
     for r0, r1 in zip(cuts, cuts[1:]):
         cols = indices[indptr[r0] : indptr[r1]]

@@ -364,6 +364,22 @@ def test_represent_nonpositive_budget_or_pool_exits_2(capsys, tmp_path, flag, va
     assert f"{flag} must be positive" in err
 
 
+def test_represent_with_a_pool_past_the_candidate_budget_exits_2(capsys, tmp_path):
+    # --budget counts search nodes, not the pool lists behind them; the
+    # pool neighbours of 1 up to 10^12 are 10^6 candidates, past the
+    # candidate budget of the first list
+    tf = tmp_path / "k33.json"
+    tf.write_text(json.dumps({"vertices": [1, 2, 3, 4, 5, 6],
+                              "edges": [[a, b] for a in (1, 2, 3) for b in (4, 5, 6)]}),
+                  encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "represent", "--graph-file", str(tf),
+                             "--pool", str(10**12), "--budget", "100")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert "above the budget of 500000" in err
+
+
 @pytest.mark.parametrize("target", [
     {"vertices": 5, "edges": []},
     {"vertices": [[0], [1]], "edges": []},
@@ -415,6 +431,25 @@ def test_neighbors_bounded_large_smallest_element_is_quick(capsys):
                            "100000000000000000000,100000000000000000001", "--bound", "1000000")
     assert time.perf_counter() - start < 2
     assert code == 0 and out == ""
+
+
+def test_neighbors_past_the_candidate_budget_exit_2_at_once():
+    # 1 walks 10^9 multipliers up to 10^18; the product of the first 22
+    # primes lists 2^21 root classes of about 6 candidates each
+    primorial = 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+              73, 79):
+        primorial *= p
+    for values, bound in (("1,3", 10**18), (str(primorial), 10**32)):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "diograph", "neighbors", "--set", values,
+             "--bound", str(bound)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert "above the budget of 500000" in proc.stderr
 
 
 def test_rank_command(capsys):
@@ -491,17 +526,23 @@ def test_module_entry_point():
 def test_scalar_commands_start_without_numpy(tmp_path):
     # dplus, neighbors, extend and represent do no array work: running
     # them must import neither numpy nor the array-backed modules
-    quad, k33 = tmp_path / "quad.txt", tmp_path / "k33.json"
+    quad, k33, prism = tmp_path / "quad.txt", tmp_path / "k33.json", tmp_path / "prism.json"
     quad.write_text("".join(f"{v}\n" for v in K4_WITNESS), encoding="utf-8")
     k33.write_text(json.dumps({"vertices": [1, 2, 3, 4, 5, 6],
                                "edges": [[a, b] for a in (1, 2, 3) for b in (4, 5, 6)]}),
                    encoding="utf-8")
+    # the triangular prism is found (1, 3, 8, 35, 33, 136) and its witness verified
+    prism.write_text(json.dumps({"vertices": [1, 2, 3, 4, 5, 6],
+                                 "edges": [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6],
+                                           [1, 4], [2, 5], [3, 6]]}),
+                     encoding="utf-8")
     argvs = [
         ["dplus", "--triple", "1,3,8"],
         ["neighbors", "--set", "1,16"],
         ["neighbors", "--set", "306,308,1228", "--bound", "1000000"],
         ["extend", "--witness-file", str(quad), "--mode", "isolated", "--count", "2"],
         ["represent", "--graph-file", str(k33), "--budget", "2000"],
+        ["represent", "--graph-file", str(prism)],
     ]
     script = (
         "import json, sys\n"
@@ -514,5 +555,5 @@ def test_scalar_commands_start_without_numpy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 1]  # represent ends "unknown" within its budget
+    assert codes == [0, 0, 0, 0, 1, 0]  # K3,3 ends "unknown" within its budget
     assert loaded == []

@@ -5,9 +5,12 @@ from math import gcd, isqrt
 
 import pytest
 
+from diograph import extension
 from diograph.extension import (
     ExtensionRequest,
+    NeighborBudgetError,
     _search_core,
+    _verify_mapping,
     RegularTriple,
     common_neighbors_bounded,
     common_neighbors_equal_sqfree,
@@ -284,6 +287,17 @@ def test_represent_budget_exhaustion_is_unknown():
     assert not res.known_impossible
 
 
+def test_verify_mapping_matches_edge_test():
+    # target 0-1-2 path: adjacency bitmasks, then mappings that do and do not
+    # realise it; two vertices on one value are rejected as edge_test does
+    adj = [0b010, 0b101, 0b010]
+    assert _verify_mapping([0, 1, 2], adj, {0: 1, 1: 3, 2: 5})
+    assert not _verify_mapping([0, 1, 2], adj, {0: 1, 1: 3, 2: 8})  # 1*8 + 1 = 9
+    assert not _verify_mapping([0, 1, 2], adj, {0: 1, 1: 2, 2: 4})
+    with pytest.raises(ValueError, match="map to 3"):
+        _verify_mapping([0, 1, 2], adj, {0: 3, 1: 3, 2: 1})
+
+
 def test_represent_k4_core():
     res = represent_graph([0, 1, 2, 3], list(combinations(range(4), 2)))
     assert res.status == "found"
@@ -436,6 +450,23 @@ def test_common_neighbors_bounded_many_prime_factors_is_quick():
         assert time.perf_counter() - start < 1
         assert got == [w for w in range(1, bound + 1) if w not in S
                        and all(is_square(v * w + 1) for v in S)], (S, bound)
+
+
+def test_common_neighbors_bounded_candidate_budget(monkeypatch):
+    # the budget caps the candidates of the branch that runs: the root-class
+    # walk of 1 (isqrt(bound + 1) + 1 multipliers) or the direct test of
+    # every w <= bound for a 30-prime m
+    monkeypatch.setattr(extension, "_NEIGHBOR_CANDIDATE_BUDGET", 1000)
+    m = 1
+    for p in [p for p in range(3, 200) if all(p % d for d in range(2, p))][:30]:
+        m *= p
+    for S, allowed, refused in (([1, 3], 999**2 - 1, 1000**2 - 1), ([m, m + 1], 1000, 1001)):
+        assert common_neighbors_bounded(S, allowed) == [
+            w for w in range(1, allowed + 1)
+            if w not in S and all(is_square(v * w + 1) for v in S)]
+        with pytest.raises(NeighborBudgetError, match="above the budget of 1000"):
+            common_neighbors_bounded(S, refused)
+    assert issubclass(NeighborBudgetError, ValueError)
 
 
 def test_common_neighbors_bounded_direct_tests_match_r_walk():

@@ -1,11 +1,14 @@
 import json
 import random
 import re
+import tracemalloc
+from itertools import combinations
 from math import isqrt
 
 import numpy as np
 import pytest
 
+from diograph import graph as graph_module
 from diograph.graph import (
     DiophGraph,
     _class_batches,
@@ -577,6 +580,45 @@ def clique_number_by_label(G, cap=5):
     return best[0]
 
 
+def clique_number_oriented(G, cap=5):
+    """Second reference clique search: depth-first over frozensets of
+    forward neighbors, every edge oriented towards the larger (degree,
+    label), so each clique is met once from its first vertex; a clique of
+    size `cap` returns `cap` (the tripwire is the caller's)."""
+    n = G.n
+    if n == 0:
+        return 0
+    deg = G._degrees()
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int64)
+    rows = G._rows()
+    forward = rank[G.indices] > rank[rows]
+    fptr = np.searchsorted(rows[forward], np.arange(n + 1)).tolist()
+    fl = G.indices[forward].tolist()
+    fwd = [frozenset(fl[a:b]) for a, b in zip(fptr, fptr[1:])]
+    best = 1
+    for v, cands in enumerate(fwd):
+        if len(cands) < best:
+            continue
+        # each frame is (clique, its common candidates, the candidates not
+        # yet tried)
+        stack = [([v], cands, iter(cands))]
+        while stack:
+            clique, cands, untried = stack[-1]
+            u = next(untried, None)
+            if u is None:
+                stack.pop()
+                continue
+            grown, common = clique + [u], cands & fwd[u]
+            if len(grown) > best:
+                best = len(grown)
+                if best >= cap:
+                    return cap
+            if len(grown) + len(common) > best:
+                stack.append((grown, common, iter(common)))
+    return best
+
+
 def component_count_bfs(G):
     """Reference component count: depth-first search over labels."""
     seen = set()
@@ -605,8 +647,70 @@ def abstract_graph(n, edges, shift=10**9):
 
 
 def assert_matches_references(G):
-    assert _clique_number(G) == clique_number_by_label(G)
+    assert _clique_number(G) == clique_number_by_label(G) == clique_number_oriented(G)
     assert _component_count(G) == component_count_bfs(G)
+
+
+def random_abstract_graph(rng, n, density, shift=10**9):
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    return abstract_graph(n, rng.sample(pairs, round(density * len(pairs))), shift)
+
+
+@pytest.fixture(params=[None, 1, 3, 7], ids=lambda c: f"chunk={c}")
+def clique_chunk(request, monkeypatch):
+    """Runs a test with the module's clique chunk and with tiny ones, so
+    that chunk boundaries fall inside every degree class."""
+    if request.param is not None:
+        monkeypatch.setattr(graph_module, "_CLIQUE_CHUNK", request.param)
+    return request.param
+
+
+def test_clique_search_matches_both_references(clique_chunk):
+    rng = random.Random(31)
+    graphs = [build_range(N) for N in (1, 2, 3, 4, 8, 33, 300, 2000)]
+    for shift in (1, 2, 3, 8):
+        graphs += [build_set(rng.sample(range(1, 5000), 150), shift) for _ in range(4)]
+    for _ in range(12):  # dense: 4- and 5-cliques are common
+        graphs.append(random_abstract_graph(rng, rng.randrange(10, 41), rng.uniform(0.5, 0.9)))
+    graphs += [abstract_graph(7, []), build_set([]), DiophGraph((), {}, 3)]
+    sizes = []
+    for G in graphs:
+        want = clique_number_by_label(G)
+        assert clique_number_oriented(G) == want, G
+        assert _clique_number(G) == want, G
+        sizes.append(want)
+    assert set(sizes) == {0, 1, 2, 3, 4, 5}
+
+
+def test_five_cliques_at_shift_1_name_adjacent_labels(clique_chunk):
+    # a fake shift-1 adjacency with several 5-cliques among denser noise;
+    # whichever one the search meets first, its labels must be a clique
+    rng = random.Random(32)
+    for _ in range(6):
+        n = rng.randrange(12, 30)
+        edges = set(rng.sample(list(combinations(range(1, n + 1), 2)), 2 * n))
+        for _ in range(3):
+            edges.update(combinations(sorted(rng.sample(range(1, n + 1), 5)), 2))
+        G = abstract_graph(n, sorted(edges), shift=1)
+        with pytest.raises(GraphDefectError, match="5-clique found at shift 1") as err:
+            _clique_number(G)
+        labels = json.loads(str(err.value).split(": ", 1)[1])
+        assert len(set(labels)) == 5
+        assert all(G.has_edge(a, b) for a, b in combinations(labels, 2)), labels
+        assert _clique_number(abstract_graph(n, sorted(edges), shift=2)) == 5
+
+
+def test_clique_search_memory_stays_near_the_adjacency():
+    # the chunked pass reads 1.07x the indices here; without its row chunks
+    # it reads 3.8x, without its pair chunks 1.8x
+    G = build_range(10**5)
+    tracemalloc.start()
+    try:
+        assert _clique_number(G) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * G.indices.nbytes, peak / G.indices.nbytes
 
 
 @pytest.mark.parametrize("N", [300, 2000])
