@@ -17,7 +17,7 @@ from math import isfinite, isqrt, log
 
 import numpy as np
 
-from .graph import DiophGraph, GraphStats, edge_test, induced, stats
+from .graph import DiophGraph, GraphStats, _is_range, edge_test, induced, stats
 from .numtheory import _prime_power_split, count_unit_roots
 
 __all__ = [
@@ -206,14 +206,19 @@ class HamiltonPathResult:
     method: str
 
 
+def _mod4_counts(G: DiophGraph) -> tuple[int, int]:
+    """(m2, m0): how many vertices are 2 mod 4 and how many 0 mod 4."""
+    residues = [v % 4 for v in G.vertices]
+    return residues.count(2), residues.count(0)
+
+
 def _mod4_path_refutation(G: DiophGraph) -> bool:
     """True when the residue-class count argument rules out a Hamiltonian
     path: vertices 2 mod 4 only neighbor multiples of 4, so m2 <= m0 + 1
     is necessary, with equality only in an alternating path without odds."""
     if G.shift != 1:
         return False
-    m2 = sum(1 for v in G.vertices if v % 4 == 2)
-    m0 = sum(1 for v in G.vertices if v % 4 == 0)
+    m2, m0 = _mod4_counts(G)
     if m2 > m0 + 1:
         return True
     return m2 == m0 + 1 and m2 + m0 < G.n
@@ -361,14 +366,13 @@ def hamiltonian_cycle_exists(G: DiophGraph, exhaustive_limit: int = 16) -> bool:
     so a cycle would have to alternate the two classes and exclude every
     odd number.  Confirmed exhaustively for n <= exhaustive_limit."""
     N = G.n
-    if G.shift != 1 or G.vertices != tuple(range(1, N + 1)):
+    if G.shift != 1 or not _is_range(G.vertices):
         raise ValueError("cycle analysis applies to shift-1 graphs on {1..N}")
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
     if not mod4_neighbor_premise(G):
         raise RuntimeError("mod-4 neighbor premise violated; squares mod 4 broke")
-    m2 = sum(1 for v in G.vertices if v % 4 == 2)
-    m0 = sum(1 for v in G.vertices if v % 4 == 0)
+    m2, m0 = _mod4_counts(G)
     if m2 < m0 or m2 < 1:
         raise RuntimeError("mod-4 class counting premise violated on a range")
     if N <= exhaustive_limit:

@@ -117,6 +117,7 @@ def k_colorable(
         return ColoringResult(True, {}, stats)
     if k <= 0:
         return ColoringResult(False, None, stats)
+    k = min(k, n)  # n colors always suffice; wider masks only cost memory
 
     index = {v: i for i, v in enumerate(order)}
     adj = [tuple(index[u] for u in G.adjacency[v]) for v in order]

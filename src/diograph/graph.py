@@ -11,9 +11,9 @@ a*b + 1 = r^2 lie in the root classes of x^2 = 1 (mod a), so the
 neighbors of a are swept without touching the other N-1 vertices.  The
 roots of every a <= N come from one array pass over a sieve sized to N
 (`numtheory._unit_root_batches`), which serves build_range (which
-expands each class), range_edge_count (which counts it in closed form)
-and the completeness check of {1..N} documents.  Any other shift falls
-back to pairwise testing.
+expands each class) and range_edge_count (which counts it in closed
+form).  Any other vertex set or shift falls back to pairwise testing,
+and a graph document is checked against the graph its vertices fix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -308,6 +307,11 @@ def build_set(values, shift: int = 1) -> DiophGraph:
     return DiophGraph._from_pairs(vs, *_pairwise_edges(vs, shift), shift)
 
 
+def _is_range(vs: tuple[int, ...]) -> bool:
+    """True when the sorted distinct integers `vs` are {1..N}, N >= 1."""
+    return bool(vs) and vs[0] == 1 and vs[-1] == len(vs)
+
+
 def _check_range_size(N: int) -> None:
     if not 1 <= N < 1 << 31:
         raise ValueError(f"N must be between 1 and 2**31 - 1, got {N}")
@@ -542,7 +546,7 @@ class DegreeBoundReport:
 def degree_bound_check(G: DiophGraph) -> DegreeBoundReport:
     """Check the root-class degree bound on a shift-1 range graph."""
     N = G.n
-    if G.shift != 1 or G.vertices != tuple(range(1, N + 1)):
+    if G.shift != 1 or not _is_range(G.vertices):
         raise ValueError("degree_bound_check needs a shift-1 graph on {1..N}")
     omega = _prime_power_split(N).omega[1:].tolist()
     violations = []
@@ -667,80 +671,12 @@ def _json_edges(G: DiophGraph):
     yield b"]]"
 
 
-def _require_integers(what: str, values: list) -> None:
+def _require_integers(what: str, values) -> None:
     """Reject any document value that is not a JSON integer: a float, a
     bool or a string would otherwise be truncated or parsed into one."""
     if set(map(type, values)) - {int}:
         bad = next(v for v in values if type(v) is not int)
         raise ValueError(f"graph document has a non-integer {what}: {bad!r}")
-
-
-def _listed_edge_positions(
-    vs: tuple[int, ...], edges, shift: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (lo, hi), lo < hi, of a document's listed edges, checked
-    in one pass: both ends are integers and vertices, distinct, a*b +
-    shift is a square, and no edge is listed twice.  The square test is
-    vectorized where the product stays in the exact float64 range and
-    exact (`is_square`) elsewhere, including labels beyond int64."""
-    try:
-        # one pass over the ends and no list of them unless one is faulty
-        if set(map(type, chain.from_iterable(edges))) - {int}:
-            _require_integers("edge end", list(chain.from_iterable(edges)))
-    except TypeError as exc:
-        raise ValueError(f"malformed graph document: {exc}") from None
-    n = len(vs)
-    labels = None if vs and vs[-1] >= 1 << 63 else np.array(vs, dtype=np.int64)
-    try:
-        ends = np.array(edges, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        ends = None
-    if ends is not None and ends.shape == (0,):
-        ends = ends.reshape(0, 2)
-    if labels is not None and ends is not None and ends.ndim == 2 and ends.shape[1] == 2:
-        pos = np.searchsorted(labels, ends)
-        known = np.all(pos < n, axis=1)
-        pos[~known] = 0
-        known &= np.all(labels[pos] == ends, axis=1)
-        a, b = ends[:, 0], ends[:, 1]
-        # a*b + shift < limit, tested without forming a product that may wrap
-        small = known & (a <= max(_NUMPY_SQUARE_LIMIT - shift - 1, -1) // np.maximum(b, 1))
-        real = np.zeros(len(ends), dtype=bool)
-        if small.any():  # else shift itself may leave int64
-            real[small] = _is_square_array(a[small] * b[small] + shift)
-        exact = known & ~small
-    else:
-        index = {v: i for i, v in enumerate(vs)}
-        try:
-            ends = [(int(a), int(b)) for a, b in edges]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed graph document: {exc}") from None
-        pos = np.array(
-            [(index.get(a, -1), index.get(b, -1)) for a, b in ends], dtype=np.int64
-        ).reshape(-1, 2)
-        known = np.all(pos >= 0, axis=1)
-        pos[~known] = 0
-        real = np.zeros(len(ends), dtype=bool)
-        exact = known
-    for k in np.flatnonzero(exact).tolist():
-        i, j = pos[k].tolist()
-        real[k] = is_square(vs[i] * vs[j] + shift)
-    real &= pos[:, 0] != pos[:, 1]
-    bad = np.flatnonzero(~(known & real))
-    if len(bad):
-        a, b = (int(x) for x in ends[bad[0]])
-        if not known[bad[0]]:
-            raise ValueError(f"edge ({a}, {b}) uses unknown vertices")
-        raise ValueError(f"({a}, {b}) is not an edge at shift {shift}")
-    lo, hi = pos.min(axis=1), pos.max(axis=1)
-    keys = lo * n
-    keys += hi
-    keys.sort()  # in place: this is the loader's peak of memory
-    twice = np.flatnonzero(keys[1:] == keys[:-1])
-    if len(twice):
-        i, j = divmod(int(keys[twice[0]]), n)
-        raise ValueError(f"edge ({vs[i]}, {vs[j]}) is listed twice")
-    return lo, hi
 
 
 def _doc_header(doc) -> tuple[int, tuple[int, ...]]:
@@ -775,33 +711,61 @@ def _doc_header(doc) -> tuple[int, tuple[int, ...]]:
     return shift, tuple(sorted(vertices))
 
 
+def _rebuild(shift: int, vs: tuple[int, ...]) -> DiophGraph:
+    """The graph that a document's shift and sorted vertices fix: the
+    root-class sweep for {1..N} at shift 1, pairwise testing otherwise."""
+    if shift == 1 and _is_range(vs):
+        return build_range(len(vs))
+    return DiophGraph._from_pairs(vs, *_pairwise_edges(vs, shift), shift)
+
+
 def graph_from_doc(doc: dict) -> DiophGraph:
     """Rebuild a graph from its document, validating structure, a positive
-    shift, integer values throughout, the square property of every listed
-    edge and that no edge is listed twice.  A `schema_version` other than
-    1 or 2 is rejected; a document without one loads.
-
-    A Diophantine graph is fixed by its vertex set, so a document must
-    list every edge.  Listed edges are checked real and distinct, so the
-    document is complete exactly when it lists as many edges as its
-    vertex set has: `range_edge_count` for {1..N} at shift 1, the pairwise
-    test for every other vertex set and shift."""
+    shift and integer values throughout; a `schema_version` other than 1
+    or 2 is rejected, and a document without one loads.  The vertex set
+    and shift fix the graph (`_rebuild`), so the listed edges must be
+    exactly its edges, each once, in any order and orientation."""
     shift, vs = _doc_header(doc)
-    try:
-        edges = doc["edges"]
-    except KeyError as exc:
-        raise ValueError(f"malformed graph document: {exc}") from None
-    lo, hi = _listed_edge_positions(vs, edges, shift)
-    if shift == 1 and vs and vs[-1] == len(vs):  # {1..N}
-        want = range_edge_count(len(vs))
-    else:
-        want = len(_pairwise_edges(vs, shift)[0])
-    if len(lo) != want:
+    ends = np.array(doc.get("edges"), dtype=object)
+    if ends.shape == (0,):
+        ends = ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError("malformed graph document: edges must be a list of [a, b] pairs")
+    _require_integers("edge end", ends.ravel())
+    try:  # object arrays stay only for labels or ends beyond int64
+        labels, ends = np.array(vs, dtype=np.int64), ends.astype(np.int64)
+    except OverflowError:
+        labels = np.array(vs, dtype=object)
+    del doc  # load_graph_file holds no other reference: its lists go before the rebuild
+    G = _rebuild(shift, vs)
+    n = len(vs)
+    pos = np.searchsorted(labels, ends)
+    known = pos < n
+    known[known] = labels[pos[known]] == ends[known]
+    keys = pos.min(axis=1) * n
+    keys += pos.max(axis=1)
+    # G's adjacency entries keyed row * n + column, sorted as the CSR is
+    entries = G._rows() * n + G.indices
+    at = np.searchsorted(entries, keys)
+    real = at < len(entries)
+    real[real] = entries[at[real]] == keys[real]
+    bad = np.flatnonzero(~(known.all(axis=1) & real))
+    if len(bad):
+        a, b = ends[bad[0]].tolist()
+        if not known[bad[0]].all():
+            raise ValueError(f"edge ({a}, {b}) uses unknown vertices")
+        raise ValueError(f"({a}, {b}) is not an edge at shift {shift}")
+    keys.sort()
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(twice):
+        i, j = divmod(int(keys[twice[0]]), n)
+        raise ValueError(f"edge ({vs[i]}, {vs[j]}) is listed twice")
+    if len(keys) != G.edge_count:
         raise ValueError(
-            f"graph document lists {len(lo)} of the {want} edges of its "
+            f"graph document lists {len(keys)} of the {G.edge_count} edges of its "
             f"vertex set at shift {shift}"
         )
-    return DiophGraph._from_pairs(vs, lo, hi, shift)
+    return G
 
 
 # What precedes the edges in the layout save_graph_file writes.
@@ -823,16 +787,13 @@ def save_graph_file(G: DiophGraph, path) -> None:
 
 
 def _load_canonical(data: bytes) -> DiophGraph | None:
-    """The graph of a {1..N} document at shift 1 in exactly the layout
-    save_graph_file writes, or None for any other document.
+    """The graph of a document in exactly the layout save_graph_file
+    writes, or None for any other document.
 
-    A graph is fixed by its vertex set and shift, so only the fields
-    before the last `, "edges": ` are parsed (and checked as graph_from_doc
-    checks them); `build_range` rebuilds the graph they fix, and its
-    encoded edges must equal the listed ones byte for byte, followed by
-    `}` and whitespace.  The edges are never parsed.  Other vertex sets
-    are left to the general path: their rebuild is the quadratic pairwise
-    test, which would run before the first byte is compared."""
+    Only the fields before the last `, "edges": ` are parsed (and checked
+    as graph_from_doc checks them); `_rebuild` makes the graph they fix,
+    and its encoded edges must equal the listed ones byte for byte,
+    followed by `}` and whitespace.  The edges are never parsed."""
     cut = data.rfind(_EDGES_KEY)
     if cut < 0:
         return None
@@ -842,9 +803,7 @@ def _load_canonical(data: bytes) -> DiophGraph | None:
         shift, vs = _doc_header(json.loads(data[:cut].decode("utf-8") + "}"))
     except ValueError:  # including invalid JSON and invalid UTF-8
         return None
-    if not (shift == 1 and vs and vs[-1] == len(vs)):  # as graph_from_doc tests {1..N}
-        return None
-    G = build_range(len(vs))
+    G = _rebuild(shift, vs)
     pos = cut + len(_EDGES_KEY)
     for piece in _json_edges(G):
         if not data.startswith(piece, pos):
@@ -856,12 +815,11 @@ def _load_canonical(data: bytes) -> DiophGraph | None:
 
 
 def load_graph_file(path) -> DiophGraph:
-    """Load a graph document.  A {1..N} document at shift 1 in the layout
-    save_graph_file writes is checked by rebuilding its graph and
-    comparing encodings; any other document (another vertex set or
-    shift, version 1, indented, reordered or faulty) goes through
-    `read_json_file` and `graph_from_doc`, which accept the same documents
-    and name the fault of any other."""
+    """Load a graph document.  A document in the layout save_graph_file
+    writes is checked by rebuilding its graph and comparing encodings;
+    any other document (version 1, indented, reordered or faulty) goes
+    through `read_json_file` and `graph_from_doc`, which accept the same
+    documents and name the fault of any other."""
     with open(path, "rb") as fh:
         G = _load_canonical(fh.read())
     return G if G is not None else graph_from_doc(read_json_file(path))

@@ -88,6 +88,15 @@ def test_graph_file_with_duplicate_edge_exits_2(capsys, tmp_path):
     assert "listed twice" in err
 
 
+def test_edge_on_empty_vertex_set_exits_2(capsys, tmp_path):
+    gf = tmp_path / "empty.json"
+    doc = {"schema_version": 2, "n": 0, "shift": 1, "vertices": [], "edges": [[1, 2]]}
+    gf.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "stats", "--graph-file", str(gf))
+    assert code == 2 and out == ""
+    assert "edge (1, 2) uses unknown vertices" in err
+
+
 def test_graph_file_with_unknown_schema_version_exits_2(capsys, tmp_path):
     from diograph import graph
 
@@ -202,6 +211,15 @@ def test_color_exit_codes(capsys, quadruple_file):
     assert code == 0 and "yes" in out
     code, out, _ = run_cli(capsys, "color", "--k", "3", "--witness-file", quadruple_file)
     assert code == 1 and "no" in out
+
+
+def test_color_and_minimal_with_huge_k(capsys, tmp_path):
+    wf = tmp_path / "w10.txt"
+    wf.write_text("".join(f"{v}\n" for v in FIVE_CHROMATIC_WITNESS[:10]), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "color", "--k", "100000", "--witness-file", str(wf))
+    assert code == 0 and "yes" in out
+    code, _, err = run_cli(capsys, "minimal", "--k", "100000", "--witness-file", str(wf))
+    assert code == 2 and "already" in err
 
 
 def test_color_witness_export(capsys, quadruple_file, tmp_path):

@@ -12,7 +12,7 @@ from diograph.coloring import (
     mod4_coloring_shift2,
 )
 from diograph.graph import DiophGraph, build_range, build_set
-from diograph.witnesses import K4_WITNESS
+from diograph.witnesses import FIVE_CHROMATIC_WITNESS, K4_WITNESS
 
 
 def abstract_graph(n, edges):
@@ -143,6 +143,15 @@ def test_k_colorable_zero_k():
     assert not k_colorable(g, 0).colorable
     empty = DiophGraph((), {}, 1)
     assert k_colorable(empty, 0).colorable
+
+
+def test_k_beyond_n_is_capped_at_n():
+    g = build_set(FIVE_CHROMATIC_WITNESS[:10])
+    at_n = k_colorable(g, g.n)
+    for k in (11, 10**5, 10**7):
+        res = k_colorable(g, k)
+        assert res.colorable and res.stats == at_n.stats
+        assert res.assignment == at_n.assignment
 
 
 def test_witness_is_proper():

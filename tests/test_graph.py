@@ -310,10 +310,11 @@ def test_graph_doc_schema_version():
 
 
 def test_graph_doc_rejects_fake_edges():
-    doc = graph_to_doc(build_range(8))
-    doc["edges"].append([1, 2])
-    with pytest.raises(ValueError, match="not an edge"):
-        graph_from_doc(doc)
+    for fake in ([1, 2], [3, 3]):  # a loop is no edge either
+        doc = graph_to_doc(build_range(8))
+        doc["edges"].append(fake)
+        with pytest.raises(ValueError, match="not an edge"):
+            graph_from_doc(doc)
 
 
 def test_graph_doc_rejects_duplicate_edges():
@@ -490,17 +491,20 @@ def test_loader_agrees_with_the_general_path_on_mutated_documents(tmp_path):
     check()
 
 
-def test_only_range_documents_take_the_rebuild_path(tmp_path):
+def test_every_saved_document_takes_the_rebuild_path(tmp_path):
     from diograph.graph import _load_canonical
 
     path = tmp_path / "g.json"
-    for g in (build_range(1), build_range(30), build_range(20, shift=2), build_set(K4_WITNESS)):
+    for g in (
+        build_range(1),
+        build_range(30),
+        build_range(20, shift=2),
+        build_set(K4_WITNESS),
+        build_set([1, 3, 2**66 - 1, 2**80]),
+        build_set([]),
+    ):
         save_graph_file(g, path)
-        fast = _load_canonical(path.read_bytes())
-        if g.shift == 1 and g.vertices == tuple(range(1, g.n + 1)):
-            assert fast == g
-        else:
-            assert fast is None
+        assert _load_canonical(path.read_bytes()) == g
         assert load_graph_file(path) == g
 
 
@@ -824,6 +828,10 @@ def test_graph_doc_rejects_unknown_vertices():
     doc = graph_to_doc(build_range(8))
     doc["edges"].append([8, 120])
     with pytest.raises(ValueError, match=r"edge \(8, 120\) uses unknown vertices"):
+        graph_from_doc(doc)
+    # an end beyond int64 among int64 labels
+    doc["edges"][-1] = [1, 2**70]
+    with pytest.raises(ValueError, match=rf"edge \(1, {2**70}\) uses unknown vertices"):
         graph_from_doc(doc)
 
 
