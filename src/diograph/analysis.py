@@ -360,11 +360,15 @@ def _cycle_search(G: DiophGraph) -> list[int] | None:
     return None
 
 
-def hamiltonian_cycle_exists(G: DiophGraph, exhaustive_limit: int = 16) -> bool:
+# Range graphs up to this size also get the exhaustive cycle search.
+_CYCLE_SEARCH_LIMIT = 16
+
+
+def hamiltonian_cycle_exists(G: DiophGraph) -> bool:
     """Always False on range graphs {1..N}, N >= 3: vertices 2 mod 4 only
     neighbor multiples of 4, and the former class is at least as large,
     so a cycle would have to alternate the two classes and exclude every
-    odd number.  Confirmed exhaustively for n <= exhaustive_limit."""
+    odd number.  Confirmed exhaustively for n <= _CYCLE_SEARCH_LIMIT."""
     N = G.n
     if G.shift != 1 or not _is_range(G.vertices):
         raise ValueError("cycle analysis applies to shift-1 graphs on {1..N}")
@@ -375,7 +379,7 @@ def hamiltonian_cycle_exists(G: DiophGraph, exhaustive_limit: int = 16) -> bool:
     m2, m0 = _mod4_counts(G)
     if m2 < m0 or m2 < 1:
         raise RuntimeError("mod-4 class counting premise violated on a range")
-    if N <= exhaustive_limit:
+    if N <= _CYCLE_SEARCH_LIMIT:
         witness = _cycle_search(G)
         if witness is not None:
             raise RuntimeError(f"exhaustive search found a Hamiltonian cycle: {witness}")

@@ -6,8 +6,9 @@ field under --format json.  Long searches report progress on stderr
 only.  Exit status 0 means success, 1 a negative decision (not
 colorable, no path, representation unknown), 2 a usage or input error.
 
-Each handler imports the modules it runs, so `dplus`, `neighbors`,
-`extend` and `represent` start without numpy.
+Each subparser names its handler (`set_defaults(run=...)`), which reads
+the parsed arguments and imports the modules it runs, so `dplus`,
+`neighbors`, `extend` and `represent` start without numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -27,16 +27,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class CommandConfig:
-    """Validated invocation: the subcommand plus its parameters and the
-    chosen output format."""
-
-    subcommand: str
-    fmt: str
-    params: dict
 
 
 def _positive(name: str, value: int) -> int:
@@ -57,9 +47,9 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
-def _emit(cfg: CommandConfig, doc: dict, human_lines: list[str]) -> None:
-    if cfg.fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": cfg.subcommand, **doc}
+def _emit(args: argparse.Namespace, doc: dict, human_lines: list[str]) -> None:
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **doc}
         # NaN and Infinity are not JSON; refusing them is a ValueError (exit 2)
         print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
@@ -67,21 +57,19 @@ def _emit(cfg: CommandConfig, doc: dict, human_lines: list[str]) -> None:
             print(line)
 
 
-def _load_source_graph(cfg: CommandConfig) -> tuple[DiophGraph, list[int] | None]:
+def _load_source_graph(args: argparse.Namespace) -> tuple[DiophGraph, list[int] | None]:
     """Build the working graph from --graph-file, --witness-file or --N.
     Returns the graph and, for witness files, the listed vertex order
     (used as the default branch order)."""
     from . import graph
 
-    p = cfg.params
-    shift = p["shift"]
-    if p.get("graph_file"):
-        return graph.load_graph_file(p["graph_file"]), None
-    if p.get("witness_file"):
-        values = graph.load_witness_file(p["witness_file"])
-        return graph.build_set(values, shift), values
-    if p.get("N") is not None:
-        return graph.build_range(_positive("N", p["N"]), shift), None
+    if args.graph_file:
+        return graph.load_graph_file(args.graph_file), None
+    if args.witness_file:
+        values = graph.load_witness_file(args.witness_file)
+        return graph.build_set(values, args.shift), values
+    if args.N is not None:
+        return graph.build_range(_positive("N", args.N), args.shift), None
     raise ValueError("one of --graph-file, --witness-file or --N is required")
 
 
@@ -92,28 +80,29 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--shift", type=int, default=1, help="edge relation constant (default 1)")
 
 
-def _cmd_build(cfg: CommandConfig) -> int:
+def _cmd_build(args: argparse.Namespace) -> int:
     from . import graph
 
-    G, _ = _load_source_graph(cfg)
-    out = cfg.params.get("out")
+    G, _ = _load_source_graph(args)
+    out = args.out
     if out:
         graph.save_graph_file(G, out)
-    edges_out = cfg.params.get("edge_list_out")
-    if edges_out:
-        graph.write_edge_list(G, edges_out)
+    if args.edge_list_out:
+        graph.write_edge_list(G, args.edge_list_out)
     if out:
-        _emit(cfg, {"n": G.n, "e": G.edge_count, "shift": G.shift, "out": out},
+        _emit(args, {"n": G.n, "e": G.edge_count, "shift": G.shift, "out": out},
               [f"wrote {out}: n={G.n} e={G.edge_count} shift={G.shift}"])
     else:
-        _emit(cfg, graph.graph_to_doc(G), [f"n={G.n} e={G.edge_count} shift={G.shift}"])
+        # the human format prints one line, so only JSON needs the document
+        doc = graph.graph_to_doc(G) if args.format == "json" else {}
+        _emit(args, doc, [f"n={G.n} e={G.edge_count} shift={G.shift}"])
     return EXIT_OK
 
 
-def _cmd_stats(cfg: CommandConfig) -> int:
+def _cmd_stats(args: argparse.Namespace) -> int:
     from . import graph
 
-    G, _ = _load_source_graph(cfg)
+    G, _ = _load_source_graph(args)
     st = graph.stats(G)
     doc = {
         "n": st.n,
@@ -123,7 +112,7 @@ def _cmd_stats(cfg: CommandConfig) -> int:
         "clique_number": st.clique_number,
         "components": st.components,
     }
-    _emit(cfg, doc, [
+    _emit(args, doc, [
         f"n={st.n}",
         f"e={st.e}",
         f"density={st.density}",
@@ -133,11 +122,11 @@ def _cmd_stats(cfg: CommandConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_color(cfg: CommandConfig) -> int:
+def _cmd_color(args: argparse.Namespace) -> int:
     from . import coloring
 
-    G, order = _load_source_graph(cfg)
-    k = _positive("k", cfg.params["k"])
+    G, order = _load_source_graph(args)
+    k = _positive("k", args.k)
     t0 = time.perf_counter()
     res = coloring.k_colorable(G, k, branch_order=order)
     # wall time stays on the diagnostic stream so the data stream is
@@ -158,30 +147,30 @@ def _cmd_color(cfg: CommandConfig) -> int:
         },
     }
     human = [f"{k}-colorable: {'yes' if res.colorable else 'no'}"]
-    witness_out = cfg.params.get("coloring_out")
+    witness_out = args.coloring_out
     if res.colorable and witness_out:
         with open(witness_out, "w", encoding="utf-8") as fh:
             for v, c in sorted(res.assignment.items()):
                 fh.write(f"{v} {c}\n")
         human.append(f"wrote coloring to {witness_out}")
-    _emit(cfg, doc, human)
+    _emit(args, doc, human)
     return EXIT_OK if res.colorable else EXIT_NEGATIVE
 
 
-def _cmd_chroma(cfg: CommandConfig) -> int:
+def _cmd_chroma(args: argparse.Namespace) -> int:
     from . import coloring
 
-    G, _ = _load_source_graph(cfg)
+    G, _ = _load_source_graph(args)
     chi = coloring.chromatic_number(G)
-    _emit(cfg, {"chromatic_number": chi}, [str(chi)])
+    _emit(args, {"chromatic_number": chi}, [str(chi)])
     return EXIT_OK
 
 
-def _cmd_minimal(cfg: CommandConfig) -> int:
+def _cmd_minimal(args: argparse.Namespace) -> int:
     from . import coloring
 
-    G, order = _load_source_graph(cfg)
-    k = _positive("k", cfg.params["k"])
+    G, order = _load_source_graph(args)
+    k = _positive("k", args.k)
     t0 = time.perf_counter()
     report = coloring.minimality_check(G, k, branch_order=order)
     print(
@@ -193,53 +182,51 @@ def _cmd_minimal(cfg: CommandConfig) -> int:
         "removable": list(report.removable),
         "minimal": report.minimal,
     }
-    _emit(cfg, doc, [
+    _emit(args, doc, [
         f"removable: {len(report.removable)} of {G.n}",
         f"minimal: {'yes' if report.minimal else 'no'}",
     ])
     return EXIT_OK if report.minimal else EXIT_NEGATIVE
 
 
-def _cmd_extend(cfg: CommandConfig) -> int:
+def _cmd_extend(args: argparse.Namespace) -> int:
     from . import extension
     from .witnesses import load_witness_file
 
-    p = cfg.params
-    values = load_witness_file(p["witness_file"])
+    values = load_witness_file(args.witness_file)
     request = extension.ExtensionRequest(
         V=tuple(values),
-        mode=p["mode"],
-        count=_positive("count", p["count"]),
-        i=p.get("i"),
-        j=p.get("j"),
+        mode=args.mode,
+        count=_positive("count", args.count),
+        i=args.i,
+        j=args.j,
     )
     out = request.run()
-    _emit(cfg, {"mode": p["mode"], "extensions": out}, [str(w) for w in out])
+    _emit(args, {"mode": args.mode, "extensions": out}, [str(w) for w in out])
     return EXIT_OK
 
 
-def _cmd_neighbors(cfg: CommandConfig) -> int:
+def _cmd_neighbors(args: argparse.Namespace) -> int:
     from . import extension
 
-    p = cfg.params
-    values = _int_list("set", p["set"])
-    if p.get("bound") is not None:
-        found = extension.common_neighbors_bounded(values, _positive("bound", p["bound"]))
+    values = _int_list("set", args.set)
+    if args.bound is not None:
+        found = extension.common_neighbors_bounded(values, _positive("bound", args.bound))
         mode = "bounded"
     else:
         if len(values) != 2:
             raise ValueError("exact mode (no --bound) needs exactly two integers")
         found = extension.common_neighbors_equal_sqfree(values[0], values[1])
         mode = "exact"
-    _emit(cfg, {"set": values, "mode": mode, "neighbors": found},
+    _emit(args, {"set": values, "mode": mode, "neighbors": found},
           [str(w) for w in found])
     return EXIT_OK
 
 
-def _cmd_dplus(cfg: CommandConfig) -> int:
+def _cmd_dplus(args: argparse.Namespace) -> int:
     from . import extension
 
-    values = _int_list("triple", cfg.params["triple"])
+    values = _int_list("triple", args.triple)
     if len(values) != 3:
         raise ValueError(
             f"--triple needs exactly three comma-separated integers, got {len(values)}"
@@ -247,18 +234,18 @@ def _cmd_dplus(cfg: CommandConfig) -> int:
     a, b, c = values
     triple = extension.RegularTriple.from_values(a, b, c)
     d_minus, d_plus = extension.regular_extensions(triple)
-    _emit(cfg, {"triple": [a, b, c], "d_minus": d_minus, "d_plus": d_plus},
+    _emit(args, {"triple": [a, b, c], "d_minus": d_minus, "d_plus": d_plus},
           [f"d-={d_minus}", f"d+={d_plus}"])
     return EXIT_OK
 
 
-def _cmd_prune(cfg: CommandConfig) -> int:
+def _cmd_prune(args: argparse.Namespace) -> int:
     from . import analysis, graph
 
-    G, _ = _load_source_graph(cfg)
+    G, _ = _load_source_graph(args)
     pruned, trace = analysis.prune_low_degree(G)
-    if cfg.params.get("out"):
-        graph.save_graph_file(pruned, cfg.params["out"])
+    if args.out:
+        graph.save_graph_file(pruned, args.out)
     doc = {
         "initial": {"n": trace.initial.n, "e": trace.initial.e},
         "final": {"n": trace.final.n, "e": trace.final.e},
@@ -272,7 +259,7 @@ def _cmd_prune(cfg: CommandConfig) -> int:
             for s in trace.steps
         ],
     }
-    _emit(cfg, doc, [
+    _emit(args, doc, [
         f"removed {len(trace.steps)} vertices",
         f"n: {trace.initial.n} -> {trace.final.n}",
         f"e: {trace.initial.e} -> {trace.final.e}",
@@ -281,16 +268,16 @@ def _cmd_prune(cfg: CommandConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_hamilton(cfg: CommandConfig) -> int:
+def _cmd_hamilton(args: argparse.Namespace) -> int:
     from . import analysis
 
-    G, _ = _load_source_graph(cfg)
-    if cfg.params["cycle"]:
+    G, _ = _load_source_graph(args)
+    if args.cycle:
         exists = analysis.hamiltonian_cycle_exists(G)
-        _emit(cfg, {"kind": "cycle", "exists": exists},
+        _emit(args, {"kind": "cycle", "exists": exists},
               [f"hamiltonian cycle: {'yes' if exists else 'no'}"])
         return EXIT_OK if exists else EXIT_NEGATIVE
-    res = analysis.hamiltonian_path_exists(G, cap=cfg.params["cap"])
+    res = analysis.hamiltonian_path_exists(G, cap=args.cap)
     doc = {
         "kind": "path",
         "exists": res.exists,
@@ -298,15 +285,15 @@ def _cmd_hamilton(cfg: CommandConfig) -> int:
         "path": list(res.path) if res.path else None,
     }
     verdict = {True: "yes", False: "no", None: "unknown"}[res.exists]
-    _emit(cfg, doc, [f"hamiltonian path: {verdict} ({res.method})"])
+    _emit(args, doc, [f"hamiltonian path: {verdict} ({res.method})"])
     return EXIT_OK if res.exists else EXIT_NEGATIVE
 
 
-def _cmd_represent(cfg: CommandConfig) -> int:
+def _cmd_represent(args: argparse.Namespace) -> int:
     from . import extension
     from .witnesses import read_json_file
 
-    doc = read_json_file(cfg.params["graph_file"])
+    doc = read_json_file(args.graph_file)
     try:
         vertices = doc["vertices"]
         edges = [(a, b) for a, b in doc["edges"]]
@@ -318,8 +305,8 @@ def _cmd_represent(cfg: CommandConfig) -> int:
     res = extension.represent_graph(
         vertices,
         edges,
-        node_budget=_positive("budget", cfg.params["budget"]),
-        pool_bound=_positive("pool", cfg.params["pool"]),
+        node_budget=_positive("budget", args.budget),
+        pool_bound=_positive("pool", args.pool),
     )
     out_doc = {
         "status": res.status,
@@ -335,25 +322,25 @@ def _cmd_represent(cfg: CommandConfig) -> int:
         human.append("witness: " + " ".join(str(v) for v in res.witness.values))
     if res.known_impossible:
         human.append("note: target contains K5, which no witness can realize")
-    _emit(cfg, out_doc, human)
+    _emit(args, out_doc, human)
     return EXIT_OK if res.status == "found" else EXIT_NEGATIVE
 
 
-def _cmd_rank(cfg: CommandConfig) -> int:
+def _cmd_rank(args: argparse.Namespace) -> int:
     from . import analysis
 
-    N = _positive("N", cfg.params["N"])
-    top = _positive("top", cfg.params["top"])
+    N = _positive("N", args.N)
+    top = _positive("top", args.top)
     ranked = analysis.heuristic_top(N, top)
-    _emit(cfg, {"N": N, "top": ranked}, [str(a) for a in ranked])
+    _emit(args, {"N": N, "top": ranked}, [str(a) for a in ranked])
     return EXIT_OK
 
 
-def _cmd_omega(cfg: CommandConfig) -> int:
+def _cmd_omega(args: argparse.Namespace) -> int:
     from . import analysis
 
-    x = _positive("x", cfg.params["x"])
-    dist = analysis.omega_distribution(x, cfg.params.get("C"))
+    x = _positive("x", args.x)
+    dist = analysis.omega_distribution(x, args.C)
     doc = {"x": x, "counts": list(dist.counts)}
     human = [f"pi({x},{k}) = {c}" for k, c in enumerate(dist.counts)]
     if dist.C is not None:
@@ -369,25 +356,8 @@ def _cmd_omega(cfg: CommandConfig) -> int:
             f"tail(k > {dist.C}*loglog x) = {dist.tail_sum}"
             f" <= {dist.bound_value:.1f}: {dist.within_bound}"
         )
-    _emit(cfg, doc, human)
+    _emit(args, doc, human)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "build": _cmd_build,
-    "stats": _cmd_stats,
-    "color": _cmd_color,
-    "chroma": _cmd_chroma,
-    "minimal": _cmd_minimal,
-    "extend": _cmd_extend,
-    "neighbors": _cmd_neighbors,
-    "dplus": _cmd_dplus,
-    "prune": _cmd_prune,
-    "hamilton": _cmd_hamilton,
-    "represent": _cmd_represent,
-    "rank": _cmd_rank,
-    "omega": _cmd_omega,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -399,26 +369,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("build", help="build a graph and optionally write it out")
+    p.set_defaults(run=_cmd_build)
     _add_source_args(p)
     p.add_argument("--out", help="write the graph document here")
     p.add_argument("--edge-list-out", help="write an 'a b' edge list here")
 
     p = sub.add_parser("stats", help="vertex/edge counts, degrees, cliques, components")
+    p.set_defaults(run=_cmd_stats)
     _add_source_args(p)
 
     p = sub.add_parser("color", help="decide k-colorability")
+    p.set_defaults(run=_cmd_color)
     _add_source_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--coloring-out", help="write 'vertex color' lines on success")
 
     p = sub.add_parser("chroma", help="chromatic number")
+    p.set_defaults(run=_cmd_chroma)
     _add_source_args(p)
 
     p = sub.add_parser("minimal", help="which single deletions make the graph k-colorable")
+    p.set_defaults(run=_cmd_minimal)
     _add_source_args(p)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("extend", help="attach new vertices to a witness set")
+    p.set_defaults(run=_cmd_extend)
     p.add_argument("--witness-file", required=True)
     p.add_argument("--mode", choices=("isolated", "pendant", "double"), required=True)
     p.add_argument("--i", type=int, help="0-based index into the witness list")
@@ -426,17 +402,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
 
     p = sub.add_parser("neighbors", help="common neighbors of a set of integers")
+    p.set_defaults(run=_cmd_neighbors)
     p.add_argument("--set", required=True, help="comma-separated integers")
     p.add_argument("--bound", type=int, help="search bound; omit for the exact pair solver")
 
     p = sub.add_parser("dplus", help="regular quadruple extensions of a triple")
+    p.set_defaults(run=_cmd_dplus)
     p.add_argument("--triple", required=True, help="comma-separated Diophantine triple")
 
     p = sub.add_parser("prune", help="remove low-degree vertices to raise density")
+    p.set_defaults(run=_cmd_prune)
     _add_source_args(p)
     p.add_argument("--out", help="write the pruned graph document here")
 
     p = sub.add_parser("hamilton", help="Hamiltonian path/cycle analysis")
+    p.set_defaults(run=_cmd_hamilton)
     _add_source_args(p)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--path", action="store_true")
@@ -444,15 +424,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=40, help="exhaustive search size cap")
 
     p = sub.add_parser("represent", help="search a witness for a small abstract graph")
+    p.set_defaults(run=_cmd_represent)
     p.add_argument("--graph-file", required=True)
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--pool", type=int, default=500)
 
     p = sub.add_parser("rank", help="top integers by the S(a)/sqrt(a) heuristic")
+    p.set_defaults(run=_cmd_rank)
     p.add_argument("--top", type=int, required=True)
     p.add_argument("--N", type=int, default=1_000_000)
 
     p = sub.add_parser("omega", help="distribution of the number of prime factors")
+    p.set_defaults(run=_cmd_omega)
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--C", type=float, help="tail-bound constant (> 1)")
 
@@ -462,10 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items() if k != "format"}
-    cfg = CommandConfig(subcommand=args.subcommand, fmt=args.format, params=params)
     try:
-        return _HANDLERS[args.subcommand](cfg)
+        return args.run(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

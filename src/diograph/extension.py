@@ -5,15 +5,15 @@ for small abstract graphs.
 The three extension modes attach a new integer w to a witness set V so
 that w is adjacent to nobody (isolated), to exactly one chosen element
 (pendant), or to exactly two chosen elements with different square-free
-parts (double).  All three over-generate candidates from their CRT/Pell
-constructions and filter by direct square tests; every returned w is
-re-verified post hoc, never trusted.  Square-free-part freshness is
-checked via the product test (x and y share a square-free part iff x*y
-is a perfect square), which stays exact for orbit elements far beyond
-factoring range.
+parts (double).  Each mode is a stream of candidates from its CRT/Pell
+construction that checks what the construction promises; one loop
+(`_extend`) takes the candidates that pass one rule, verified by direct
+square tests, never trusted.  Square-free-part freshness is checked via
+the product test (x and y share a square-free part iff x*y is a perfect
+square), which stays exact for orbit elements far beyond factoring
+range.
 
-Nothing here needs numpy: `graph` (and so numpy) is imported only by
-family_k5_minus_edge.
+Nothing here needs numpy or imports `graph`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,15 @@ from .numtheory import (
     iter_primes,
     same_square_free_part,
 )
-from .pell import PellBudgetError, PellInstance, PellUnit, fundamental_unit, unit_order_mod
+from .pell import (
+    PellBudgetError,
+    PellInstance,
+    _unit_power,
+    fundamental_unit,
+    iter_orbit,
+    unit_order_mod,
+)
+from .witnesses import _vertex_list
 
 __all__ = [
     "ExtensionRequest",
@@ -67,15 +75,6 @@ class NeighborBudgetError(ValueError):
     _NEIGHBOR_CANDIDATE_BUDGET candidates."""
 
 
-def _validate_witness(V) -> list[int]:
-    vs = [int(v) for v in V]
-    if any(v < 1 for v in vs):
-        raise ValueError("witness elements must be positive")
-    if len(set(vs)) != len(vs):
-        raise ValueError("witness elements must be distinct")
-    return vs
-
-
 def _fresh_against(w: int, others) -> bool:
     return all(not same_square_free_part(w, v) for v in others)
 
@@ -92,6 +91,7 @@ class ExtensionRequest:
     j: int | None = None
 
     def __post_init__(self) -> None:
+        self.V = tuple(_vertex_list(self.V))
         if self.mode not in ("isolated", "pendant", "double"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.count < 1:
@@ -135,6 +135,61 @@ def _distinct_primes_avoiding(values: list[int]) -> tuple[list[int], int]:
     raise AssertionError("unreachable")
 
 
+def _extend(
+    mode: str, vs: list[int], count: int, chosen: tuple[int, ...], candidates
+) -> list[int]:
+    """The first `count` values w of the stream `candidates` that extend
+    the witness list vs: w is not in vs, is adjacent to none of its
+    elements but those at the `chosen` indices, and has a square-free
+    part fresh against vs and the earlier outputs.  The stream makes its
+    own construction checks; more than _GENERATOR_STALL_LIMIT rejections
+    in a row mean the construction is broken."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    others = [v for idx, v in enumerate(vs) if idx not in chosen]
+    out: list[int] = []
+    stall = 0
+    for w in candidates:
+        if (
+            w not in vs
+            and all(not is_square(v * w + 1) for v in others)
+            and _fresh_against(w, vs)
+            and _fresh_against(w, out)
+        ):
+            out.append(w)
+            if len(out) == count:
+                return out
+            stall = 0
+        else:
+            stall += 1
+            if stall > _GENERATOR_STALL_LIMIT:
+                raise RuntimeError(f"{mode} extension generator stalled")
+
+
+def _isolated_candidates(vs: list[int]):
+    ps, q = _distinct_primes_avoiding(vs)
+    congruences = []
+    for v, p in zip(vs, ps):
+        p2 = p * p
+        congruences.append((((p - 1) * pow(v, -1, p2)) % p2, p2))
+    congruences.append((q, q * q))
+    x0, M = crt_combine(congruences)
+    w = x0 if x0 >= 1 else x0 + M
+    while True:
+        for v in vs:
+            if is_square(v * w + 1):
+                raise RuntimeError(
+                    f"constructed isolated extension {w} is adjacent to {v}"
+                )
+            if same_square_free_part(w, v):
+                raise RuntimeError(
+                    f"constructed isolated extension {w} shares a "
+                    f"square-free part with {v}"
+                )
+        yield w
+        w += M
+
+
 def extend_isolated(V, count: int) -> list[int]:
     """Integers w joined to nothing in V, with square-free parts fresh
     against V and pairwise distinct among the returned values.
@@ -145,39 +200,8 @@ def extend_isolated(V, count: int) -> list[int]:
     a square) and q divides w exactly once (so its square-free part is
     new).  Each candidate is still verified directly.
     """
-    vs = _validate_witness(V)
-    if count < 1:
-        raise ValueError("count must be positive")
-    ps, q = _distinct_primes_avoiding(vs)
-    congruences = []
-    for v, p in zip(vs, ps):
-        p2 = p * p
-        congruences.append((((p - 1) * pow(v, -1, p2)) % p2, p2))
-    congruences.append((q, q * q))
-    x0, M = crt_combine(congruences)
-    out: list[int] = []
-    w = x0 if x0 >= 1 else x0 + M
-    stall = 0
-    while len(out) < count:
-        if w not in vs and _fresh_against(w, out):
-            for v in vs:
-                if is_square(v * w + 1):
-                    raise RuntimeError(
-                        f"constructed isolated extension {w} is adjacent to {v}"
-                    )
-                if same_square_free_part(w, v):
-                    raise RuntimeError(
-                        f"constructed isolated extension {w} shares a "
-                        f"square-free part with {v}"
-                    )
-            out.append(w)
-            stall = 0
-        else:
-            stall += 1
-            if stall > _GENERATOR_STALL_LIMIT:
-                raise RuntimeError("isolated extension generator stalled")
-        w += M
-    return out
+    vs = _vertex_list(V)
+    return _extend("isolated", vs, count, (), _isolated_candidates(vs))
 
 
 @dataclass(frozen=True)
@@ -197,7 +221,7 @@ class PendantPlan:
 
 
 def pendant_plan(V, i: int) -> PendantPlan:
-    vs = _validate_witness(V)
+    vs = _vertex_list(V)
     if not 0 <= i < len(vs):
         raise ValueError(f"index {i} out of range")
     v_i = vs[i]
@@ -216,6 +240,36 @@ def pendant_plan(V, i: int) -> PendantPlan:
     return PendantPlan(v_i=v_i, q=q, z0=z0, y0=y0, t=t, modulus=M, x0=x0)
 
 
+def _pendant_candidates(vs: list[int], i: int):
+    plan = pendant_plan(vs, i)
+    v_i, q, M = plan.v_i, plan.q, plan.modulus
+    x = plan.x0
+    if x <= 1:
+        x += M
+    while True:
+        # x >= 2, so w >= 1
+        w, rem = divmod(x * x - 1, v_i)
+        if rem:
+            raise RuntimeError(f"candidate x={x} is not 1 mod {v_i}")
+        if not is_square(v_i * w + 1):
+            raise RuntimeError(f"pendant candidate {w} lost its square")
+        val_q = 0
+        ww = w
+        while ww % q == 0:
+            ww //= q
+            val_q += 1
+        if val_q % 2 != 1:
+            raise RuntimeError(
+                f"pendant candidate {w} has even q-valuation {val_q}"
+            )
+        if not _fresh_against(w, vs):
+            raise RuntimeError(
+                f"pendant candidate {w} shares a square-free part with V"
+            )
+        yield w
+        x += M
+
+
 def extend_pendant(V, i: int, count: int) -> list[int]:
     """Integers w joined to v_i and nothing else in V.
 
@@ -225,52 +279,41 @@ def extend_pendant(V, i: int, count: int) -> list[int]:
     other elements is killed by filtering (only O(log X) candidates up to
     X can fail, so the filter passes infinitely often).
     """
-    vs = _validate_witness(V)
-    if count < 1:
-        raise ValueError("count must be positive")
-    plan = pendant_plan(vs, i)
-    v_i, q, M = plan.v_i, plan.q, plan.modulus
-    others = [v for idx, v in enumerate(vs) if idx != i]
-    out: list[int] = []
-    x = plan.x0
-    if x <= 1:
-        x += M
-    stall = 0
-    while len(out) < count:
-        w, rem = divmod(x * x - 1, v_i)
+    vs = _vertex_list(V)
+    return _extend("pendant", vs, count, (i,), _pendant_candidates(vs, i))
+
+
+def _double_candidates(vs: list[int], i: int, j: int):
+    n = len(vs)
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise ValueError("need distinct valid indices i, j")
+    v_i, v_j = vs[i], vs[j]
+    if same_square_free_part(v_i, v_j):
+        raise ValueError(
+            f"{v_i} and {v_j} share a square-free part; only finitely many "
+            "common neighbors exist (use common_neighbors_equal_sqfree)"
+        )
+    if v_j < v_i:
+        # the adjacency contract is symmetric; anchoring the orbit at the
+        # smaller value keeps the unit order (and the orbit elements) small
+        v_i, v_j = v_j, v_i
+    d = gcd(v_i, v_j)
+    vi_, vj_ = v_i // d, v_j // d
+    D = vi_ * vj_
+    instance = PellInstance(D, vi_ * (vi_ - vj_))
+    unit = fundamental_unit(D)
+    t0 = unit_order_mod(unit, D, v_i)
+    points = iter_orbit(instance, (vi_, 1), _unit_power(unit, D, t0))
+    next(points)  # the seed gives w = 0; every later Y is at least 2, so w >= 1
+    for X, Y in points:
+        if instance.residual(X, Y) != 0:
+            raise RuntimeError("orbit left the Pell conic")
+        w, rem = divmod(Y * Y - 1, v_i)
         if rem:
-            raise RuntimeError(f"candidate x={x} is not 1 mod {v_i}")
-        if w >= 1:
-            if not is_square(v_i * w + 1):
-                raise RuntimeError(f"pendant candidate {w} lost its square")
-            val_q = 0
-            ww = w
-            while ww % q == 0:
-                ww //= q
-                val_q += 1
-            if val_q % 2 != 1:
-                raise RuntimeError(
-                    f"pendant candidate {w} has even q-valuation {val_q}"
-                )
-            if not _fresh_against(w, vs):
-                raise RuntimeError(
-                    f"pendant candidate {w} shares a square-free part with V"
-                )
-            if (
-                w not in vs
-                and all(not is_square(v * w + 1) for v in others)
-                and _fresh_against(w, out)
-            ):
-                out.append(w)
-                stall = 0
-            else:
-                stall += 1
-        else:
-            stall += 1
-        if stall > _GENERATOR_STALL_LIMIT:
-            raise RuntimeError("pendant extension generator stalled")
-        x += M
-    return out
+            raise RuntimeError(f"Y={Y} is not 1 mod {v_i} despite stepping by t0={t0}")
+        if not (is_square(v_i * w + 1) and is_square(v_j * w + 1)):
+            raise RuntimeError(f"double candidate {w} lost a square")
+        yield w
 
 
 def extend_double(V, i: int, j: int, count: int) -> list[int]:
@@ -285,71 +328,8 @@ def extend_double(V, i: int, j: int, count: int) -> list[int]:
     w = (Y^2 - 1)/v_i is integral.  Adjacency to other elements and
     square-free freshness are filtered; both exclusions are finite.
     """
-    vs = _validate_witness(V)
-    if count < 1:
-        raise ValueError("count must be positive")
-    n = len(vs)
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise ValueError("need distinct valid indices i, j")
-    v_i, v_j = vs[i], vs[j]
-    if same_square_free_part(v_i, v_j):
-        raise ValueError(
-            f"{v_i} and {v_j} share a square-free part; only finitely many "
-            "common neighbors exist (use common_neighbors_equal_sqfree)"
-        )
-    if v_j < v_i:
-        # the adjacency contract is symmetric; anchoring the orbit at the
-        # smaller value keeps the unit order (and the orbit elements) small
-        v_i, v_j = v_j, v_i
-        i, j = j, i
-    d = gcd(v_i, v_j)
-    vi_, vj_ = v_i // d, v_j // d
-    D = vi_ * vj_
-    instance = PellInstance(D, vi_ * (vi_ - vj_))
-    unit = fundamental_unit(D)
-    t0 = unit_order_mod(unit, D, v_i)
-    step = _unit_power(unit, D, t0)
-    others = [v for idx, v in enumerate(vs) if idx not in (i, j)]
-    out: list[int] = []
-    X, Y = vi_, 1
-    stall = 0
-    while len(out) < count:
-        X, Y = X * step.mu + Y * step.nu * D, X * step.nu + Y * step.mu
-        if instance.residual(X, Y) != 0:
-            raise RuntimeError("orbit left the Pell conic")
-        w, rem = divmod(Y * Y - 1, v_i)
-        if rem:
-            raise RuntimeError(f"Y={Y} is not 1 mod {v_i} despite stepping by t0={t0}")
-        if w >= 1:
-            if not (is_square(v_i * w + 1) and is_square(v_j * w + 1)):
-                raise RuntimeError(f"double candidate {w} lost a square")
-            if (
-                w not in vs
-                and all(not is_square(v * w + 1) for v in others)
-                and _fresh_against(w, vs)
-                and _fresh_against(w, out)
-            ):
-                out.append(w)
-                stall = 0
-            else:
-                stall += 1
-        else:
-            stall += 1
-        if stall > _GENERATOR_STALL_LIMIT:
-            raise RuntimeError("double extension generator stalled")
-    return out
-
-
-def _unit_power(unit: PellUnit, D: int, t: int) -> PellUnit:
-    """(mu + nu*sqrt(D))^t by binary exponentiation on coefficient pairs."""
-    rx, ry = 1, 0
-    bx, by = unit.mu, unit.nu
-    while t:
-        if t & 1:
-            rx, ry = rx * bx + ry * by * D, rx * by + ry * bx
-        bx, by = bx * bx + by * by * D, 2 * bx * by
-        t >>= 1
-    return PellUnit(rx, ry)
+    vs = _vertex_list(V)
+    return _extend("double", vs, count, (i, j), _double_candidates(vs, i, j))
 
 
 def common_neighbors_equal_sqfree(a: int, b: int) -> list[int]:
@@ -410,7 +390,7 @@ def common_neighbors_bounded(S, bound: int) -> list[int]:
     most `bound` candidates either way.  A search that would test more
     than _NEIGHBOR_CANDIDATE_BUDGET candidates raises NeighborBudgetError
     before it starts."""
-    values = sorted(_validate_witness(S))
+    values = sorted(_vertex_list(S))
     if not values:
         raise ValueError("S must be nonempty")
     if bound < 1:
@@ -490,8 +470,6 @@ def family_k5_minus_edge(k: int) -> tuple[int, int, int, int, int]:
     regular extension of its three largest elements."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    from .graph import build_set
-
     values = (
         k - 1,
         k + 1,
@@ -499,13 +477,7 @@ def family_k5_minus_edge(k: int) -> tuple[int, int, int, int, int]:
         16 * k**3 - 4 * k,
         256 * k**5 + 256 * k**4 - 32 * k**3 - 64 * k**2 + k + 3,
     )
-    g = build_set(values)
-    non_edges = [
-        (a, b)
-        for idx, a in enumerate(g.vertices)
-        for b in g.vertices[idx + 1 :]
-        if not g.has_edge(a, b)
-    ]
+    non_edges = [(a, b) for a, b in combinations(values, 2) if not is_square(a * b + 1)]
     if len(non_edges) != 1:
         raise RuntimeError(
             f"family member k={k} is not K5 minus one edge: "

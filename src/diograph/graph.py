@@ -12,8 +12,11 @@ neighbors of a are swept without touching the other N-1 vertices.  The
 roots of every a <= N come from one array pass over a sieve sized to N
 (`numtheory._unit_root_batches`), which serves build_range (which
 expands each class) and range_edge_count (which counts it in closed
-form).  Any other vertex set or shift falls back to pairwise testing,
-and a graph document is checked against the graph its vertices fix.
+form).  Any other vertex set or shift is tested pair by pair, with one
+exact integer square root on int64 arrays while the products stay below
+2**62.  `_rebuild` is the one place that picks between the two, and a
+graph document is checked against the graph it returns for the
+document's vertices and shift.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from fractions import Fraction
 import numpy as np
 
 from .numtheory import _prime_power_split, _unit_root_batches, is_square
-from .witnesses import WitnessFileError, load_witness_file, read_json_file, save_witness_file
+from .witnesses import (
+    WitnessFileError,
+    _vertex_list,
+    load_witness_file,
+    read_json_file,
+    save_witness_file,
+)
 
 __all__ = [
     "DiophGraph",
@@ -55,11 +64,6 @@ __all__ = [
 # of version 1, so both load.
 GRAPH_SCHEMA_VERSION = 2
 _READABLE_SCHEMA_VERSIONS = (1, 2)
-
-# Largest product for which the vectorized float64 square test is exact.
-_NUMPY_SQUARE_LIMIT = 1 << 52
-# Below this many vertices the plain Python pairwise loop wins.
-_NUMPY_MIN_VERTICES = 64
 
 
 class GraphDefectError(RuntimeError):
@@ -258,35 +262,19 @@ def edge_test(a: int, b: int, shift: int = 1) -> bool:
     return is_square(a * b + shift)
 
 
-def _validate_vertices(values) -> list[int]:
-    vs = [int(v) for v in values]
-    if any(v < 1 for v in vs):
-        raise ValueError("vertices must be positive integers")
-    if len(set(vs)) != len(vs):
-        dup = sorted(v for v in set(vs) if vs.count(v) > 1)
-        raise ValueError(f"duplicate vertices: {dup}")
-    return vs
-
-
-def _is_square_array(prod: np.ndarray) -> np.ndarray:
-    """Perfect-square mask of int64 values below _NUMPY_SQUARE_LIMIT,
-    where the float64 square root is exact."""
-    roots = np.rint(np.sqrt(prod.astype(np.float64))).astype(np.int64)
-    return roots * roots == prod
-
-
 def _pairwise_edges(vs: tuple[int, ...], shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions (lo, hi), lo < hi, of every edge among the sorted labels
-    `vs`, in lexicographic order.  All pairs are tested directly:
-    vectorized per row when products stay in the exact float64 range,
-    pure Python otherwise."""
+    `vs`, in lexicographic order.  All pairs are tested directly: one row
+    at a time with `_isqrt_array` when every product plus shift is below
+    2**62, pure Python otherwise."""
     n = len(vs)
-    if n >= _NUMPY_MIN_VERTICES and vs[-1] * vs[-2] + shift < _NUMPY_SQUARE_LIMIT:
+    if n >= 2 and vs[-1] * vs[-2] + shift < 1 << 62:
         arr = np.array(vs, dtype=np.int64)
-        his = [
-            np.flatnonzero(_is_square_array(arr[i] * arr[i + 1 :] + shift)) + (i + 1)
-            for i in range(n - 1)
-        ]
+        his = []
+        for i in range(n - 1):
+            prod = arr[i] * arr[i + 1 :] + shift
+            root = _isqrt_array(prod)
+            his.append(np.flatnonzero(root * root == prod) + (i + 1))
         counts = [len(h) for h in his]
         return np.repeat(np.arange(n - 1, dtype=np.int64), counts), np.concatenate(his)
     pairs = [
@@ -300,11 +288,11 @@ def _pairwise_edges(vs: tuple[int, ...], shift: int) -> tuple[np.ndarray, np.nda
 
 
 def build_set(values, shift: int = 1) -> DiophGraph:
-    """Graph on an explicit vertex set, pairwise tested."""
+    """Graph on an explicit vertex set of distinct positive integers; see
+    `_rebuild`."""
     if shift < 1:
         raise ValueError(f"shift must be positive, got {shift}")
-    vs = tuple(sorted(_validate_vertices(values)))
-    return DiophGraph._from_pairs(vs, *_pairwise_edges(vs, shift), shift)
+    return _rebuild(shift, tuple(sorted(_vertex_list(values))))
 
 
 def _is_range(vs: tuple[int, ...]) -> bool:
@@ -358,6 +346,16 @@ def build_range(N: int, shift: int = 1) -> DiophGraph:
     r = np.repeat(r0, counts) + a * step
     b = (r * r - 1) // a
     return DiophGraph._from_pairs(tuple(range(1, N + 1)), a - 1, b - 1, 1)
+
+
+def _rebuild(shift: int, vs: tuple[int, ...]) -> DiophGraph:
+    """The graph that a shift and sorted distinct positive vertices fix:
+    the root-class sweep for {1..N} at shift 1, pairwise testing
+    otherwise.  build_set (and so build_range at other shifts) and the
+    document loaders all build through it."""
+    if shift == 1 and _is_range(vs):
+        return build_range(len(vs))
+    return DiophGraph._from_pairs(vs, *_pairwise_edges(vs, shift), shift)
 
 
 def range_edge_count(N: int) -> int:
@@ -699,7 +697,7 @@ def _doc_header(doc) -> tuple[int, tuple[int, ...]]:
         raise ValueError(f"malformed graph document: {exc}") from None
     _require_integers("shift", [shift])
     _require_integers("vertex", vertices)
-    vertices = _validate_vertices(vertices)
+    vertices = _vertex_list(vertices)
     if shift < 1:
         raise ValueError(f"graph document has shift {shift}; it must be positive")
     if "n" in doc:
@@ -709,14 +707,6 @@ def _doc_header(doc) -> tuple[int, tuple[int, ...]]:
                 f"graph document claims n={doc['n']} but lists {len(vertices)} vertices"
             )
     return shift, tuple(sorted(vertices))
-
-
-def _rebuild(shift: int, vs: tuple[int, ...]) -> DiophGraph:
-    """The graph that a document's shift and sorted vertices fix: the
-    root-class sweep for {1..N} at shift 1, pairwise testing otherwise."""
-    if shift == 1 and _is_range(vs):
-        return build_range(len(vs))
-    return DiophGraph._from_pairs(vs, *_pairwise_edges(vs, shift), shift)
 
 
 def graph_from_doc(doc: dict) -> DiophGraph:

@@ -1,6 +1,6 @@
 """Pell and generalized Pell equations: fundamental units via continued
-fractions, solution orbits under the fundamental unit, and the
-multiplicative order of the unit modulo m.
+fractions, solution orbits under the fundamental unit (or any power of
+it), and the multiplicative order of the unit modulo m.
 
 Everything is exact arbitrary-precision integer arithmetic; fundamental
 solutions grow exponentially with the period of the continued fraction
@@ -92,6 +92,18 @@ def fundamental_unit(D: int) -> PellUnit:
     raise PellBudgetError(
         f"the continued fraction of sqrt({D}) has a period above {_PELL_STEP_BUDGET}"
     )
+
+
+def _unit_power(unit: PellUnit, D: int, t: int) -> PellUnit:
+    """(mu + nu*sqrt(D))^t by binary exponentiation on coefficient pairs."""
+    rx, ry = 1, 0
+    bx, by = unit.mu, unit.nu
+    while t:
+        if t & 1:
+            rx, ry = rx * bx + ry * by * D, rx * by + ry * bx
+        bx, by = bx * bx + by * by * D, 2 * bx * by
+        t >>= 1
+    return PellUnit(rx, ry)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Known witness sets used across the toolkit and its tests, and the
-readers and writer of witness and JSON files.  Nothing here needs numpy,
-so the scalar commands read their inputs without it."""
+"""Known witness sets used across the toolkit and its tests, the one
+check of a vertex list, and the readers and writer of witness and JSON
+files.  Nothing here needs numpy, so the scalar commands read their
+inputs without it."""
 
 from __future__ import annotations
 
 import json
+import operator
 
 # The unique Diophantine quadruple extending {1, 3, 8}.
 K4_WITNESS = (1, 3, 8, 120)
@@ -29,6 +31,25 @@ FIVE_CHROMATIC_WITNESS = (
     240, 2184, 280, 16, 21, 32, 44, 156, 816, 380, 13, 39, 72, 80, 96, 462,
     528, 1140, 2380, 23, 102, 105, 110, 152, 264, 456, 858, 2520, 1365,
 )
+
+
+def _vertex_list(values) -> list[int]:
+    """`values` as a list of distinct positive Python ints.  A value that
+    is not an integer (a float, a string, a bool) is a ValueError naming
+    it, never truncated or parsed into one; integer types such as numpy's
+    are converted."""
+    vs = list(values)
+    if set(map(type, vs)) - {int}:
+        for k, v in enumerate(vs):
+            if isinstance(v, bool) or not hasattr(v, "__index__"):
+                raise ValueError(f"vertices must be integers, got {v!r}")
+            vs[k] = operator.index(v)
+    if any(v < 1 for v in vs):
+        raise ValueError("vertices must be positive integers")
+    if len(set(vs)) != len(vs):
+        dup = sorted(v for v in set(vs) if vs.count(v) > 1)
+        raise ValueError(f"duplicate vertices: {dup}")
+    return vs
 
 
 class WitnessFileError(ValueError):

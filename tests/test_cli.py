@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from diograph.cli import CommandConfig, _emit, main
+from diograph.cli import _emit, main
 from diograph.numtheory import is_square
 from diograph.witnesses import FIVE_CHROMATIC_WITNESS, K4_WITNESS
 
@@ -493,10 +494,10 @@ def test_omega_rejects_a_non_finite_C(capsys, C):
 
 def test_json_output_refuses_nan_and_infinity(capsys):
     # strict JSON has no NaN or Infinity, so no command may print them
-    cfg = CommandConfig(subcommand="omega", fmt="json", params={})
+    args = argparse.Namespace(subcommand="omega", format="json")
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="JSON compliant"):
-            _emit(cfg, {"C": value}, [])
+            _emit(args, {"C": value}, [])
     assert capsys.readouterr().out == ""
 
 
@@ -566,6 +567,8 @@ def test_scalar_commands_start_without_numpy(tmp_path):
         "import json, sys\n"
         "from diograph.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "from diograph.extension import family_k5_minus_edge\n"
+        "assert family_k5_minus_edge(2) == (1, 3, 8, 120, 11781)\n"
         "heavy = ['numpy', 'diograph.graph', 'diograph.analysis', 'diograph.coloring']\n"
         "print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))\n"
     )

@@ -1,6 +1,8 @@
+import hashlib
 import random
+import re
 import time
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd, isqrt
 
 import pytest
@@ -117,6 +119,80 @@ def test_extend_double_agrees_with_bounded_search():
         oracle = common_neighbors_bounded(V, 10**7)
         for w in within:
             assert w in oracle
+
+
+def _digest(out):
+    """Digit counts and sha256 of the comma-joined decimals of `out`."""
+    return [len(str(w)) for w in out], hashlib.sha256(",".join(map(str, out)).encode()).hexdigest()
+
+
+# Outputs of the three lemmas at count 3 on seeded 8-element witness sets
+# (the shape of the arith benchmark's extend jobs): pendant at indices 0
+# and 7, double at (0, 1) and (7, 2).  The double extensions run to
+# hundreds of digits, so they are pinned by _digest.
+LEMMA_PINS = [
+    (
+        [24, 35, 105, 96, 39, 2, 140, 20],
+        [32239868055228271, 82010296700065171, 131780725344902071],
+        [44462, 645832, 1949970],
+        [118734, 784476, 2035858],
+        ([84, 168, 253], "b8c84e33e084735260647e29715e9f1c45ead35c195df20646796f5eb083c173"),
+        ([15, 32, 48], "d4c0ffce366a7683b593c77b3b017d6d060eb51bf29b40f6c28714f3c95b2889"),
+    ),
+    (
+        [110, 105, 120, 4, 102, 9, 22, 13],
+        [43932064232595601, 93702492877432501, 143472921522269401],
+        [5276148, 37005160, 97404792],
+        [1056495, 5426400, 13184651],
+        ([161, 323, 486], "5d2a2f8cb7027d1c2594f561cc0722a4e60555fa1250445abf5423bc24808965"),
+        ([56, 113, 171], "bb677d5066e0bee16ddcb4903818a71959fcf7765871293f14aed9779c32a3a4"),
+    ),
+    (
+        [84, 46, 30, 24, 9, 70, 168, 132],
+        [77868850889734481, 156993483196554581, 236118115503374681],
+        [400062, 4758572, 13915330],
+        [89284, 5019690, 17490200],
+        ([464, 930, 1395], "4a0dc390f9f583febef09843e14e6bbd030b905420b7d872e0b0c5466d68f6d0"),
+        ([64, 129, 194], "965cffa5fd21e5426b95b9b839b7e65ce3382e23c06d1d1017dfa77078bea3e0"),
+    ),
+]
+
+
+@pytest.mark.parametrize("V, isolated, pendant0, pendant7, double01, double72", LEMMA_PINS)
+def test_lemma_outputs_are_pinned(V, isolated, pendant0, pendant7, double01, double72):
+    assert extend_isolated(V, 3) == isolated
+    assert extend_pendant(V, 0, 3) == pendant0
+    assert extend_pendant(V, 7, 3) == pendant7
+    assert _digest(extend_double(V, 0, 1, 3)) == double01
+    assert _digest(extend_double(V, 7, 2, 3)) == double72
+
+
+@pytest.mark.parametrize("mode, run", [
+    ("isolated", lambda V: extend_isolated(V, 1)),
+    ("pendant", lambda V: extend_pendant(V, 0, 1)),
+    ("double", lambda V: extend_double(V, 0, 1, 1)),
+])
+def test_a_stream_of_rejected_candidates_stalls(monkeypatch, mode, run):
+    # a candidate already in V is rejected every time
+    monkeypatch.setattr(extension, f"_{mode}_candidates", lambda vs, *idx: repeat(vs[0]))
+    with pytest.raises(RuntimeError, match=f"^{mode} extension generator stalled$"):
+        run([1, 3, 8])
+
+
+@pytest.mark.parametrize("bad", [2.9, 3.0, "3", True])
+def test_extensions_reject_non_integer_elements(bad):
+    V = [1, bad, 8]
+    calls = [
+        lambda: extend_isolated(V, 1),
+        lambda: extend_pendant(V, 0, 1),
+        lambda: extend_double(V, 0, 2, 1),
+        lambda: common_neighbors_bounded(V, 200),
+        lambda: pendant_plan(V, 0),
+        lambda: ExtensionRequest(V=tuple(V), mode="double", count=1, i=0, j=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"vertices must be integers, got {bad!r}")):
+            call()
 
 
 def test_extension_request_dispatch():

@@ -109,8 +109,48 @@ def test_build_set_rejects_duplicates():
 def test_build_set_numpy_and_python_paths_agree():
     rng = random.Random(3)
     values = rng.sample(range(1, 10**6), 80)
-    g = build_set(values)  # large enough for the vectorized path
+    g = build_set(values)  # products below 2**62 take the array path
     assert g.edges() == brute_edges(values)
+
+
+@pytest.mark.parametrize("shift", [1, 2])
+def test_build_set_small_sets_match_the_pairwise_oracle(shift):
+    # every product below 2**62 takes the array path, at any set size
+    rng = random.Random(shift)
+    for n in range(64):
+        values = rng.sample(range(1, 3000), n)
+        assert build_set(values, shift).edges() == brute_edges(values, shift)
+
+
+@pytest.mark.parametrize("shift", [1, 2])
+def test_build_set_labels_below_2_to_31_match_the_pairwise_oracle(shift):
+    # a = t^2 - shift and b = a + 2t + 1 make a*b + shift = (a + t)^2, and
+    # (2**31 - 3)(2**31 - 1) + 1 is a square, so the products reach 2**62
+    rng = random.Random(10 + shift)
+    pool = [2**31 - 3, 2**31 - 1]
+    for _ in range(40):
+        t = rng.randrange(2**13 + 1, 46_000)
+        a = t * t - shift
+        pool += [a, a + 2 * t + 1, rng.randrange(2**26, 2**31)]
+    for n in (0, 1, 2, 7, 40, 63, len(pool)):
+        values = pool[:n]
+        edges = build_set(values, shift).edges()
+        assert edges == brute_edges(values, shift)
+    assert len(edges) >= 40
+
+
+@pytest.mark.parametrize("values, bad", [
+    ([1, 3.7, 8], "3.7"), ([1, 3.0, 8], "3.0"), (["1", "3", 8], "'1'"), ([1, True], "True"),
+])
+def test_build_set_rejects_non_integer_vertices(values, bad):
+    with pytest.raises(ValueError, match=re.escape(f"vertices must be integers, got {bad}")):
+        build_set(values)
+
+
+def test_build_set_takes_numpy_integers_as_python_ints():
+    g = build_set(np.array([1, 3, 8, 120], dtype=np.int64))
+    assert g == build_set([1, 3, 8, 120])
+    assert all(type(v) is int for v in g.vertices)
 
 
 def test_range_edge_count_matches_build():
