@@ -92,11 +92,26 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if out:
         _emit(args, {"n": G.n, "e": G.edge_count, "shift": G.shift, "out": out},
               [f"wrote {out}: n={G.n} e={G.edge_count} shift={G.shift}"])
+    elif args.format == "json":
+        _emit_graph(args, G)
     else:
-        # the human format prints one line, so only JSON needs the document
-        doc = graph.graph_to_doc(G) if args.format == "json" else {}
-        _emit(args, doc, [f"n={G.n} e={G.edge_count} shift={G.shift}"])
+        print(f"n={G.n} e={G.edge_count} shift={G.shift}")
     return EXIT_OK
+
+
+def _emit_graph(args: argparse.Namespace, G: DiophGraph) -> None:
+    """Print what _emit prints for the document graph_to_doc(G) under
+    --format json (its schema_version, 2, overrides the CLI's), with the
+    edges streamed from the adjacency arrays instead of built as pairs."""
+    from . import graph
+
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand,
+           **graph._doc_head(G), "edges": []}
+    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('"edges": []')
+    sys.stdout.write(head + '"edges": ')
+    for piece in graph._json_edges(G, indented=True):
+        sys.stdout.write(piece.decode("ascii"))
+    sys.stdout.write(tail + "\n")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

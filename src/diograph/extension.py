@@ -91,23 +91,15 @@ class ExtensionRequest:
     j: int | None = None
 
     def __post_init__(self) -> None:
+        """Reject bad elements, mode or indices before any work, with the
+        lemmas' own checks and texts; `run` checks the count."""
         self.V = tuple(_vertex_list(self.V))
         if self.mode not in ("isolated", "pendant", "double"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.count < 1:
-            raise ValueError("count must be positive")
-        n = len(self.V)
-        if self.mode == "pendant" and not (self.i is not None and 0 <= self.i < n):
-            raise ValueError("pendant mode needs a valid index i")
-        if self.mode == "double":
-            if self.i is None or self.j is None:
-                raise ValueError("double mode needs indices i and j")
-            if not (0 <= self.i < n and 0 <= self.j < n) or self.i == self.j:
-                raise ValueError("double mode needs distinct valid indices")
-            if same_square_free_part(self.V[self.i], self.V[self.j]):
-                raise ValueError(
-                    "double mode needs endpoints with different square-free parts"
-                )
+        if self.mode == "pendant":
+            _chosen(self.V, self.i)
+        elif self.mode == "double":
+            _double_ends(self.V, self.i, self.j)
 
     def run(self) -> list[int]:
         if self.mode == "isolated":
@@ -115,6 +107,31 @@ class ExtensionRequest:
         if self.mode == "pendant":
             return extend_pendant(self.V, self.i, self.count)
         return extend_double(self.V, self.i, self.j, self.count)
+
+
+def _chosen(vs, *indices) -> list[int]:
+    """The elements of the witness list vs at the chosen indices, which
+    must be distinct positions of it."""
+    for k in indices:
+        if not isinstance(k, int) or not 0 <= k < len(vs):
+            raise ValueError(
+                f"extension index must be an integer in [0, {len(vs)}), got {k!r}"
+            )
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"extension indices must be distinct, got {list(indices)}")
+    return [vs[k] for k in indices]
+
+
+def _double_ends(vs, i: int, j: int) -> tuple[int, int]:
+    """The endpoints v_i, v_j of a double extension, which need different
+    square-free parts."""
+    v_i, v_j = _chosen(vs, i, j)
+    if same_square_free_part(v_i, v_j):
+        raise ValueError(
+            f"{v_i} and {v_j} share a square-free part; only finitely many "
+            "common neighbors exist (use common_neighbors_equal_sqfree)"
+        )
+    return v_i, v_j
 
 
 def _distinct_primes_avoiding(values: list[int]) -> tuple[list[int], int]:
@@ -222,9 +239,7 @@ class PendantPlan:
 
 def pendant_plan(V, i: int) -> PendantPlan:
     vs = _vertex_list(V)
-    if not 0 <= i < len(vs):
-        raise ValueError(f"index {i} out of range")
-    v_i = vs[i]
+    (v_i,) = _chosen(vs, i)
     for q in iter_primes():
         if all(v % q != 0 for v in vs):
             break
@@ -284,15 +299,7 @@ def extend_pendant(V, i: int, count: int) -> list[int]:
 
 
 def _double_candidates(vs: list[int], i: int, j: int):
-    n = len(vs)
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise ValueError("need distinct valid indices i, j")
-    v_i, v_j = vs[i], vs[j]
-    if same_square_free_part(v_i, v_j):
-        raise ValueError(
-            f"{v_i} and {v_j} share a square-free part; only finitely many "
-            "common neighbors exist (use common_neighbors_equal_sqfree)"
-        )
+    v_i, v_j = _double_ends(vs, i, j)
     if v_j < v_i:
         # the adjacency contract is symmetric; anchoring the orbit at the
         # smaller value keeps the unit order (and the orbit elements) small

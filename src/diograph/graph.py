@@ -127,15 +127,22 @@ class DiophGraph:
         return G
 
     @classmethod
-    def _from_pairs(cls, vs: tuple, lo: np.ndarray, hi: np.ndarray, shift: int):
-        """Graph on the sorted labels `vs` whose edges join the positions
-        lo[k] and hi[k]: distinct pairs of distinct positions."""
-        n, m = len(vs), len(lo)
+    def _from_pairs(cls, vs: tuple, m: int, pairs, shift: int):
+        """Graph on the sorted labels `vs` with m edges, given as chunks
+        (lo, hi) of position arrays whose k-th edge joins lo[k] and hi[k]:
+        m distinct pairs of distinct positions in all.  Each chunk is
+        written in both orientations straight into one array of 2m keys
+        row * n + column, which is sorted in place and becomes `indices`."""
+        n = len(vs)
         keys = np.empty(2 * m, dtype=np.int64)
-        np.multiply(lo, n, out=keys[:m])
-        keys[:m] += hi
-        np.multiply(hi, n, out=keys[m:])
-        keys[m:] += lo
+        at = 0
+        for lo, hi in pairs:
+            end = at + len(lo)
+            np.multiply(lo, n, out=keys[at:end])
+            keys[at:end] += hi
+            np.multiply(hi, n, out=keys[m + at : m + end])
+            keys[m + at : m + end] += lo
+            at = end
         keys.sort()
         return cls._from_csr(vs, *_csr_arrays(keys, n), shift)
 
@@ -233,8 +240,9 @@ class _AdjacencyView(Mapping):
 
 def _csr_arrays(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """indptr and indices of the n-row adjacency whose entries are the
-    sorted keys row * n + column; `keys` becomes the indices."""
-    indptr = _indptr(keys // max(n, 1), n)
+    sorted keys row * n + column; `keys` becomes the indices in place, so
+    beside it only the n + 1 row pointers are allocated."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     keys %= max(n, 1)
     return indptr, keys
 
@@ -243,14 +251,10 @@ def _row_cuts(indptr: np.ndarray, entries: int) -> list[int]:
     """Row boundaries, from 0 to n, that split the adjacency into runs of
     whole rows starting at every `entries` adjacency entries."""
     firsts = np.searchsorted(indptr, np.arange(0, indptr[-1], entries), "right") - 1
-    return np.unique(np.append(firsts, len(indptr) - 1)).tolist()
-
-
-def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """Row pointers of n rows from the sorted row of every entry."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
+    # the firsts ascend, so dict.fromkeys drops their repeats in order;
+    # np.unique would import numpy.ma, about 20 ms, into every job that
+    # writes edges
+    return list(dict.fromkeys([*firsts.tolist(), len(indptr) - 1]))
 
 
 def edge_test(a: int, b: int, shift: int = 1) -> bool:
@@ -332,20 +336,48 @@ def _class_batches(N: int):
 def build_range(N: int, shift: int = 1) -> DiophGraph:
     """Graph on {1..N}, N < 2**31.  At shift 1 every root class is expanded
     into its multipliers r = r0, r0 + a, ..., and each gives the edge
-    (a, (r^2 - 1)/a); other shifts fall back to pairwise testing."""
+    (a, (r^2 - 1)/a) (`_range_graph`); other shifts fall back to pairwise
+    testing."""
     _check_range_size(N)
     if shift != 1:
         return build_set(range(1, N + 1), shift)
-    none = np.zeros(0, dtype=np.int64)
-    a, r0, rmax = map(np.concatenate, zip((none, none, none), *_class_batches(N)))
-    counts = (rmax - r0) // a + 1
-    a = np.repeat(a, counts)
-    # r counts up from r0 in steps of a within each class; r <= N + 1, so
-    # r*r stays inside int64
-    step = np.arange(len(a), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    r = np.repeat(r0, counts) + a * step
-    b = (r * r - 1) // a
-    return DiophGraph._from_pairs(tuple(range(1, N + 1)), a - 1, b - 1, 1)
+    return _range_graph(tuple(range(1, N + 1)))
+
+
+def _range_graph(vs: tuple[int, ...]) -> DiophGraph:
+    """The shift-1 graph on vs = (1, ..., N), counted, then filled.  The
+    root classes are kept as int32 (a, r0, count) with the closed-form
+    multiplier count of each, so the edge count m is known before any
+    edge is expanded; then one class batch at a time is expanded straight
+    into the 2m keys of `DiophGraph._from_pairs`.  Beside those keys the
+    build holds 12 bytes per class and the edges of one batch."""
+    N = len(vs)
+    classes = []
+    m = 0
+    for a, r0, rmax in _class_batches(N):
+        counts = (rmax - r0) // a + 1
+        m += int(counts.sum())
+        classes.append([x.astype(np.int32) for x in (a, r0, counts)])
+
+    def batches():
+        while classes:  # each batch is dropped once it is expanded
+            a, r0, counts = (x.astype(np.int64) for x in classes.pop())
+            first = np.cumsum(counts) - counts
+            lo = np.repeat(a, counts)
+            # r counts up from r0 in steps of a within each class; r <= N,
+            # so r*r stays inside int64
+            r = np.arange(len(lo), dtype=np.int64)
+            r -= np.repeat(first, counts)
+            r *= lo
+            r += np.repeat(r0, counts)
+            r *= r
+            r -= 1
+            r //= lo  # the neighbor b = (r^2 - 1)/a
+            lo -= 1
+            r -= 1
+            yield lo, r
+
+    return DiophGraph._from_pairs(vs, m, batches(), 1)
 
 
 def _rebuild(shift: int, vs: tuple[int, ...]) -> DiophGraph:
@@ -354,8 +386,9 @@ def _rebuild(shift: int, vs: tuple[int, ...]) -> DiophGraph:
     otherwise.  build_set (and so build_range at other shifts) and the
     document loaders all build through it."""
     if shift == 1 and _is_range(vs):
-        return build_range(len(vs))
-    return DiophGraph._from_pairs(vs, *_pairwise_edges(vs, shift), shift)
+        return _range_graph(vs)
+    lo, hi = _pairwise_edges(vs, shift)
+    return DiophGraph._from_pairs(vs, len(lo), [(lo, hi)], shift)
 
 
 def range_edge_count(N: int) -> int:
@@ -575,9 +608,8 @@ def _restrict(G: DiophGraph, keep: np.ndarray) -> DiophGraph:
     kept = keep[rows] & keep[G.indices]
     renumber = np.cumsum(keep) - 1
     vs = tuple(v for v, k in zip(G.vertices, keep.tolist()) if k)
-    return DiophGraph._from_csr(
-        vs, _indptr(renumber[rows[kept]], len(vs)), renumber[G.indices[kept]], G.shift
-    )
+    indptr = np.searchsorted(renumber[rows[kept]], np.arange(len(vs) + 1))
+    return DiophGraph._from_csr(vs, indptr, renumber[G.indices[kept]], G.shift)
 
 
 def remove_vertex(G: DiophGraph, v: int) -> DiophGraph:
@@ -617,30 +649,36 @@ def graph_to_doc(G: DiophGraph) -> dict:
     return {**_doc_head(G), "edges": G.edges()}
 
 
-# Edges per chunk of the encoder.  Its gather index holds 8 bytes per
-# output byte, so a chunk of range-graph edges (about 16 bytes each in a
-# document) takes about 8 MiB.
-_CHUNK_EDGES = 1 << 16
+# Output bytes per chunk of the encoder.  Its gather index and the arange
+# added to it take 16 bytes per output byte, so a chunk takes about 4 MiB
+# at any N; larger chunks were no faster on the N = 10^5 range graph.
+_CHUNK_BYTES = 1 << 18
 
 
 def _edge_chunks(G: DiophGraph, inner: str, between: str):
     """The edges (a, b), a < b, of G in lexicographic order as bytes: each
     edge reads str(a) + inner + str(b), and consecutive edges are joined
-    by `between`.  The bytes come in chunks of about 2**16 edges, taken
-    straight from indptr/indices.  Every label is turned into a string
-    once, into one table that holds between + str(v) + inner for each v;
-    an edge (a, b) is then two spans of it, between + str(a) + inner and
-    str(b), which numpy gathers, so labels of any size work."""
+    by `between`.  The bytes come in chunks of at most about
+    _CHUNK_BYTES, taken straight from indptr/indices.  Every label is
+    turned into a string once, into one table that holds between + str(v)
+    + inner for each v; an edge (a, b) is then two spans of it, between +
+    str(a) + inner and str(b), which numpy gathers, so labels of any size
+    work."""
     n, indptr, indices = G.n, G.indptr, G.indices
+    if not G.edge_count:
+        return
     labels = list(map(str, G.vertices))
     table = (between + (inner + between).join(labels) + inner).encode("ascii")
     table = np.frombuffer(table, dtype=np.uint8)
     width = np.fromiter(map(len, labels), dtype=np.int64, count=n)
+    del labels  # a Python string per label: more than the chunks take
     head_width = width + (len(between) + len(inner))
     head = np.cumsum(head_width) - head_width
     tail = head + len(between)
-    # each edge is listed in both of its rows
-    cuts = _row_cuts(indptr, 2 * _CHUNK_EDGES)
+    # an edge takes at most edge_bytes, and a run of rows with E entries
+    # lists at most E edges in its upper half
+    edge_bytes = len(between) + len(inner) + 2 * int(width.max())
+    cuts = _row_cuts(indptr, max(1, _CHUNK_BYTES // edge_bytes))
     skip = len(between)  # nothing comes before the first edge
     for r0, r1 in zip(cuts, cuts[1:]):
         cols = indices[indptr[r0] : indptr[r1]]
@@ -658,15 +696,20 @@ def _edge_chunks(G: DiophGraph, inner: str, between: str):
         skip = 0
 
 
-def _json_edges(G: DiophGraph):
+def _json_edges(G: DiophGraph, indented: bool = False):
     """The `edges` array of G's document, exactly as `json.dumps` writes
-    it, in chunks."""
+    it, in chunks: compact, or, if `indented`, as `json.dumps(...,
+    indent=2)` writes it as a field of the top-level object."""
     if not G.edge_count:
         yield b"[]"
         return
-    yield b"[["
-    yield from _edge_chunks(G, ", ", "], [")
-    yield b"]]"
+    if indented:
+        sep, out, mid, inn = ",", "\n  ", "\n    ", "\n      "
+    else:
+        sep, out, mid, inn = ", ", "", "", ""
+    yield f"[{mid}[{inn}".encode("ascii")
+    yield from _edge_chunks(G, sep + inn, f"{mid}]{sep}{mid}[{inn}")
+    yield f"{mid}]{out}]".encode("ascii")
 
 
 def _require_integers(what: str, values) -> None:

@@ -61,6 +61,30 @@ def test_build_with_out_encodes_the_document_once(capsys, tmp_path, monkeypatch)
     assert gf.read_text() == json.dumps(real_doc(graph.build_range(30))) + "\n"
 
 
+def test_build_json_to_stdout_streams_the_json_dumps_bytes(capsys, tmp_path, monkeypatch):
+    from diograph import graph
+
+    no_edges = tmp_path / "w.txt"
+    no_edges.write_text("1\n2\n5\n", encoding="utf-8")
+    sources = [(["--N", str(N)], graph.build_range(N)) for N in (1, 2, 8, 300)]
+    sources.append((["--witness-file", str(no_edges)], graph.build_set([1, 2, 5])))
+    # the document's schema_version (2) overrides the CLI's (1)
+    expected = [
+        json.dumps({"schema_version": 1, "command": "build", **graph.graph_to_doc(G)},
+                   indent=2, sort_keys=True) + "\n"
+        for _, G in sources
+    ]
+    # the edges go from the adjacency arrays to stdout, never as Python pairs
+    calls = []
+    monkeypatch.setattr(graph, "graph_to_doc", lambda G: calls.append("doc"))
+    monkeypatch.setattr(graph.DiophGraph, "edges", lambda G: calls.append("edges"))
+    for (args, _), text in zip(sources, expected):
+        code, out, _ = run_cli(capsys, "--format", "json", "build", *args)
+        assert code == 0
+        assert out == text, args
+    assert calls == []
+
+
 def test_structured_output_is_deterministic(capsys):
     outputs = set()
     for _ in range(2):
@@ -326,6 +350,41 @@ def test_extend_command(capsys, tmp_path):
                            "--count", "3")
     assert code == 0
     assert out.split() == ["8", "120", "1680"]
+
+
+@pytest.mark.parametrize(
+    "mode, idx, text",
+    [
+        ("pendant", [], "extension index must be an integer in [0, 3), got None"),
+        ("pendant", [3], "extension index must be an integer in [0, 3), got 3"),
+        ("pendant", [-1], "extension index must be an integer in [0, 3), got -1"),
+        ("double", [0], "extension index must be an integer in [0, 3), got None"),
+        ("double", [2, 2], "extension indices must be distinct, got [2, 2]"),
+        ("double", [0, 1], "1 and 16 share a square-free part"),
+    ],
+)
+def test_bad_extension_requests_read_the_same_in_the_cli_and_the_library(
+    capsys, tmp_path, mode, idx, text
+):
+    from diograph import extension
+
+    V = [1, 16, 3]
+    wf = tmp_path / "w.txt"
+    wf.write_text("".join(f"{v}\n" for v in V), encoding="utf-8")
+    flags = [arg for flag, k in zip(("--i", "--j"), idx) for arg in (flag, str(k))]
+    code, out, err = run_cli(capsys, "extend", "--witness-file", str(wf), "--mode", mode,
+                             *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {text}")
+    ij = (idx + [None, None])[:2]
+    lemma = {
+        "pendant": lambda: extension.extend_pendant(V, ij[0], 1),
+        "double": lambda: extension.extend_double(V, *ij, 1),
+    }[mode]
+    for call in (lemma, lambda: extension.ExtensionRequest(tuple(V), mode, 1, *ij)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value).startswith(text)
 
 
 def test_prune_command(capsys):

@@ -195,6 +195,12 @@ def test_extensions_reject_non_integer_elements(bad):
             call()
 
 
+@pytest.mark.parametrize("i", [None, 2, -1, 1.0])
+def test_pendant_plan_rejects_a_bad_index_with_a_value_error(i):
+    with pytest.raises(ValueError, match=re.escape(f"in [0, 2), got {i!r}")):
+        pendant_plan([1, 3], i)
+
+
 def test_extension_request_dispatch():
     req = ExtensionRequest(V=(1, 3), mode="double", count=2, i=0, j=1)
     assert req.run() == [8, 120]

@@ -757,6 +757,90 @@ def test_clique_search_memory_stays_near_the_adjacency():
     assert peak <= 1.5 * G.indices.nbytes, peak / G.indices.nbytes
 
 
+def traced_peak(call):
+    """call() and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_range_build_memory_stays_near_its_result():
+    # the count-then-fill build reads 1.7x here; expanding every edge into
+    # whole-edge arrays reads about 6x
+    G, peak = traced_peak(lambda: build_range(2 * 10**5))
+    result = G.indptr.nbytes + G.indices.nbytes
+    assert peak <= 2.5 * result, peak / result
+
+
+def test_save_and_load_memory_stays_bounded(tmp_path):
+    from diograph.graph import _load_canonical
+
+    # they read about 10 and 23 MiB here; with encoder chunks of 2**16
+    # edges and the whole-edge arrays of the old range build, 48 and 68 MiB
+    path = tmp_path / "g.json"
+    G = build_range(10**5)
+    _, peak = traced_peak(lambda: save_graph_file(G, path))
+    assert peak <= 40 * 2**20, peak / 2**20
+    data = path.read_bytes()  # read before tracing: the peak is above it
+    H, peak = traced_peak(lambda: _load_canonical(data))
+    assert H == G
+    assert peak <= 40 * 2**20, peak / 2**20
+
+
+@pytest.fixture(params=[None, 32, 100], ids=lambda b: f"batch={b}")
+def root_batch(request, monkeypatch):
+    """Runs a test with the sieve's root batches and with small ones, so
+    that the range build fills its keys from many batches.  A batch holds
+    all roots of its vertices, so it is no smaller than the 32 roots of
+    840, the most of any vertex up to 1000."""
+    if request.param is not None:
+        from diograph import numtheory
+
+        monkeypatch.setattr(numtheory, "_ROOT_BATCH", request.param)
+
+
+def test_range_build_equals_the_pairwise_and_mapping_builds(root_batch):
+    from diograph.graph import _pairwise_edges
+
+    for N in [*range(1, 61), 100, 500, 1000]:
+        vs = tuple(range(1, N + 1))
+        lo, hi = _pairwise_edges(vs, 1)
+        adjacency = {v: [] for v in vs}
+        for a, b in brute_edges(vs):
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        G = build_range(N)
+        assert G == DiophGraph._from_pairs(vs, len(lo), [(lo, hi)], 1), N
+        assert G == DiophGraph(vs, adjacency, 1), N
+        assert G.indptr.dtype == G.indices.dtype == np.int64
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 40, 1000])
+def test_encoder_chunks_join_to_the_same_bytes(tmp_path, monkeypatch, chunk_bytes):
+    from diograph.graph import _json_edges
+
+    graphs = [build_range(N) for N in (1, 2, 8, 300)] + [
+        build_range(50, shift=2),
+        build_set([1, 3, 2**66 - 1, 2**66 + 1, 2**80]),
+    ]
+    whole = [
+        (b"".join(_json_edges(G)), b"".join(_json_edges(G, indented=True)), G.edges())
+        for G in graphs
+    ]
+    monkeypatch.setattr(graph_module, "_CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "e.txt"
+    for G, (compact, indented, edges) in zip(graphs, whole):
+        assert compact == json.dumps(edges).encode()
+        assert indented == json.dumps({"edges": edges}, indent=2)[len('{\n  "edges": '):-2].encode()
+        assert b"".join(_json_edges(G)) == compact
+        assert b"".join(_json_edges(G, indented=True)) == indented
+        write_edge_list(G, path)
+        assert path.read_text() == "".join(f"{a} {b}\n" for a, b in edges)
+
+
 @pytest.mark.parametrize("N", [300, 2000])
 def test_clique_and_components_match_references_on_ranges(N):
     assert_matches_references(build_range(N))
