@@ -147,8 +147,8 @@ class OmegaDistribution:
 
 
 def omega_distribution(x: int, C: float | None = None) -> OmegaDistribution:
-    if x < 1:
-        raise ValueError(f"x must be positive, got {x}")
+    if not 1 <= x < 1 << 31:
+        raise ValueError(f"x must be between 1 and 2**31 - 1, got {x}")
     omega = _prime_power_split(x).omega
     counts = tuple(int(c) for c in np.bincount(omega[1 : x + 1]))
     if C is None:

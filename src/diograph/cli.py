@@ -286,13 +286,14 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 def _cmd_hamilton(args: argparse.Namespace) -> int:
     from . import analysis
 
+    cap = _positive("cap", args.cap)
     G, _ = _load_source_graph(args)
     if args.cycle:
         exists = analysis.hamiltonian_cycle_exists(G)
         _emit(args, {"kind": "cycle", "exists": exists},
               [f"hamiltonian cycle: {'yes' if exists else 'no'}"])
         return EXIT_OK if exists else EXIT_NEGATIVE
-    res = analysis.hamiltonian_path_exists(G, cap=args.cap)
+    res = analysis.hamiltonian_path_exists(G, cap=cap)
     doc = {
         "kind": "path",
         "exists": res.exists,

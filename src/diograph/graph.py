@@ -25,6 +25,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -95,35 +96,38 @@ class DiophGraph:
         if len(pos) != n or len(adjacency) != n:
             raise ValueError("adjacency must map each distinct vertex to its neighbors")
         try:
-            nbrs = [[pos[u] for u in adjacency[v]] for v in vs]
+            keys = [i * n + pos[u] for i, v in enumerate(vs) for u in adjacency[v]]
         except KeyError as exc:
             raise ValueError(f"adjacency and vertices disagree on {exc}") from None
-        rows = np.repeat(np.arange(n, dtype=np.int64), [len(nb) for nb in nbrs])
-        cols = np.array([j for nb in nbrs for j in nb], dtype=np.int64)
-        keys = np.sort(rows * n + cols)
-        if (
-            np.any(rows == cols)
-            or np.any(keys[1:] == keys[:-1])
-            or not np.array_equal(keys, np.sort(cols * n + rows))
-        ):
-            raise ValueError(
-                "adjacency must be symmetric, loop-free and list each neighbor once"
-            )
-        self._store(vs, *_csr_arrays(keys, n), shift)
+        keys = np.sort(np.array(keys, dtype=np.int64))
+        rows, cols = np.divmod(keys, max(n, 1))
+        symmetric = np.array_equal(keys, np.sort(cols * n + rows))
+        if np.any(rows == cols) or np.any(keys[1:] == keys[:-1]) or not symmetric:
+            raise ValueError("adjacency must be symmetric, loop-free and list each neighbor once")
+        self._store(vs, keys, shift)
 
-    def _store(self, vs: tuple, indptr: np.ndarray, indices: np.ndarray, shift: int) -> None:
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
+    def _store(self, vs: tuple, keys: np.ndarray, shift: int) -> None:
+        """Hold the adjacency over the sorted labels `vs` whose entries are
+        the sorted keys row * n + column.  `keys` becomes `indices` in
+        place, so beside it only the n + 1 row pointers are allocated."""
+        n = len(vs)
+        self.indptr = _row_pointers(keys, n)
+        # keys % n, as keys - (keys // n) * n: numpy divides by a scalar
+        # with a fast multiply, but not for %; slices keep the temporaries small
+        for at in range(0, len(keys), 1 << 16):
+            cut = keys[at : at + (1 << 16)]
+            cut -= cut // n * n
+        self.indices = keys
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
         self.vertices = vs
-        self.indptr = indptr
-        self.indices = indices
         self.shift = shift
         self._index = None  # label -> position, built on the first lookup
 
     @classmethod
-    def _from_csr(cls, vs: tuple, indptr: np.ndarray, indices: np.ndarray, shift: int):
+    def _from_keys(cls, vs: tuple, keys: np.ndarray, shift: int):
+        """Graph on the sorted labels `vs` from sorted keys; see `_store`."""
         G = cls.__new__(cls)
-        G._store(vs, indptr, indices, shift)
+        G._store(vs, keys, shift)
         return G
 
     @classmethod
@@ -132,7 +136,7 @@ class DiophGraph:
         (lo, hi) of position arrays whose k-th edge joins lo[k] and hi[k]:
         m distinct pairs of distinct positions in all.  Each chunk is
         written in both orientations straight into one array of 2m keys
-        row * n + column, which is sorted in place and becomes `indices`."""
+        row * n + column, which is sorted in place (see `_from_keys`)."""
         n = len(vs)
         keys = np.empty(2 * m, dtype=np.int64)
         at = 0
@@ -144,7 +148,7 @@ class DiophGraph:
             keys[m + at : m + end] += lo
             at = end
         keys.sort()
-        return cls._from_csr(vs, *_csr_arrays(keys, n), shift)
+        return cls._from_keys(vs, keys, shift)
 
     @property
     def n(self) -> int:
@@ -166,9 +170,10 @@ class DiophGraph:
     def _degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def _rows(self) -> np.ndarray:
-        """The row position of every adjacency entry."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), self._degrees())
+    def _per_entry(self, values: np.ndarray, r0: int = 0) -> np.ndarray:
+        """values[k] at every adjacency entry of row r0 + k, for the rows
+        r0 to r0 + len(values) - 1."""
+        return np.repeat(values, np.diff(self.indptr[r0 : r0 + len(values) + 1]))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         i = self._position(v)
@@ -191,7 +196,7 @@ class DiophGraph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (a, b) with a < b, lexicographically sorted.  The
         pairs hold the label objects of `vertices`, not copies."""
-        rows = self._rows()
+        rows = self._per_entry(np.arange(self.n, dtype=np.int64))
         upper = self.indices > rows
         vs = self.vertices
         return list(zip(
@@ -238,23 +243,33 @@ class _AdjacencyView(Mapping):
         return self._graph.n
 
 
-def _csr_arrays(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """indptr and indices of the n-row adjacency whose entries are the
-    sorted keys row * n + column; `keys` becomes the indices in place, so
-    beside it only the n + 1 row pointers are allocated."""
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    keys %= max(n, 1)
-    return indptr, keys
+def _row_pointers(keys: np.ndarray, n: int) -> np.ndarray:
+    """Where each of n rows starts in the sorted keys row * n + column,
+    followed by len(keys)."""
+    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
 
 
-def _row_cuts(indptr: np.ndarray, entries: int) -> list[int]:
-    """Row boundaries, from 0 to n, that split the adjacency into runs of
-    whole rows starting at every `entries` adjacency entries."""
+def _row_runs(G: DiophGraph, entries: int):
+    """(rows, cols) of the adjacency entries of each run of whole rows,
+    a run starting at every `entries` entries: entry k lies in row
+    rows[k] and column cols[k]."""
+    indptr = G.indptr
     firsts = np.searchsorted(indptr, np.arange(0, indptr[-1], entries), "right") - 1
-    # the firsts ascend, so dict.fromkeys drops their repeats in order;
-    # np.unique would import numpy.ma, about 20 ms, into every job that
-    # writes edges
-    return list(dict.fromkeys([*firsts.tolist(), len(indptr) - 1]))
+    # the firsts ascend, so dict.fromkeys drops their repeats in order
+    # without numpy's unique, which imports numpy.ma (about 20 ms)
+    cuts = list(dict.fromkeys([*firsts.tolist(), G.n]))
+    for r0, r1 in zip(cuts, cuts[1:]):
+        rows = G._per_entry(np.arange(r0, r1, dtype=np.int64), r0)
+        yield rows, G.indices[indptr[r0] : indptr[r1]]
+
+
+def _lookup(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `values` is, or would go, in the sorted array
+    `table`, and whether it is there."""
+    at = np.searchsorted(table, values)
+    found = at < len(table)
+    found[found] = table[at[found]] == values[found]
+    return at, found
 
 
 def edge_test(a: int, b: int, shift: int = 1) -> bool:
@@ -274,28 +289,20 @@ def _pairwise_edges(vs: tuple[int, ...], shift: int) -> tuple[np.ndarray, np.nda
     n = len(vs)
     if n >= 2 and vs[-1] * vs[-2] + shift < 1 << 62:
         arr = np.array(vs, dtype=np.int64)
-        his = []
+        keys = []  # lo * n + hi
         for i in range(n - 1):
             prod = arr[i] * arr[i + 1 :] + shift
             root = _isqrt_array(prod)
-            his.append(np.flatnonzero(root * root == prod) + (i + 1))
-        counts = [len(h) for h in his]
-        return np.repeat(np.arange(n - 1, dtype=np.int64), counts), np.concatenate(his)
-    pairs = [
-        (i, j)
-        for i in range(n - 1)
-        for j in range(i + 1, n)
-        if is_square(vs[i] * vs[j] + shift)
-    ]
-    both = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return both[:, 0], both[:, 1]
+            keys.append(np.flatnonzero(root * root == prod) + (i * n + i + 1))
+    else:
+        keys = [np.array([i * n + j for i in range(n - 1) for j in range(i + 1, n)
+                          if is_square(vs[i] * vs[j] + shift)], dtype=np.int64)]
+    return np.divmod(np.concatenate(keys), max(n, 1))
 
 
 def build_set(values, shift: int = 1) -> DiophGraph:
     """Graph on an explicit vertex set of distinct positive integers; see
     `_rebuild`."""
-    if shift < 1:
-        raise ValueError(f"shift must be positive, got {shift}")
     return _rebuild(shift, tuple(sorted(_vertex_list(values))))
 
 
@@ -319,29 +326,26 @@ def _isqrt_array(v: np.ndarray) -> np.ndarray:
 
 
 def _class_batches(N: int):
-    """Batches of int64 arrays (a, r0, rmax): for every vertex a of {1..N}
+    """Batches of int64 arrays (a, r0, count): for every vertex a of {1..N}
     and every root class of x^2 = 1 (mod a) that holds a multiplier r in
-    (a, rmax], rmax = isqrt(a*N + 1), r0 is the smallest such r.  Each r in
-    the class up to rmax gives the neighbor b = (r^2 - 1)/a > a.  Vertices
-    a >= N - 1 have no neighbor above them and are skipped."""
+    (a, rmax], rmax = isqrt(a*N + 1), r0 is the smallest such r and count
+    the number of them, r0, r0 + a, ... up to rmax.  Each gives the
+    neighbor b = (r^2 - 1)/a > a.  Vertices a >= N - 1 have no neighbor
+    above them and are skipped."""
     for a, x in _unit_root_batches(N - 2):
         lo = a[0]
         rmax = _isqrt_array(np.arange(lo, a[-1] + 1) * N + 1)[a - lo]
         # the class of the root x holds r0 = a + x, or 2 for x = 0 (a = 1)
         keep = np.flatnonzero(x <= rmax - a)
         a = a[keep]
-        yield a, a + np.maximum(x[keep], 1), rmax[keep]
+        r0 = a + np.maximum(x[keep], 1)
+        yield a, r0, (rmax[keep] - r0) // a + 1
 
 
 def build_range(N: int, shift: int = 1) -> DiophGraph:
-    """Graph on {1..N}, N < 2**31.  At shift 1 every root class is expanded
-    into its multipliers r = r0, r0 + a, ..., and each gives the edge
-    (a, (r^2 - 1)/a) (`_range_graph`); other shifts fall back to pairwise
-    testing."""
+    """Graph on {1..N}, N < 2**31; see `_rebuild`."""
     _check_range_size(N)
-    if shift != 1:
-        return build_set(range(1, N + 1), shift)
-    return _range_graph(tuple(range(1, N + 1)))
+    return _rebuild(shift, tuple(range(1, N + 1)))
 
 
 def _range_graph(vs: tuple[int, ...]) -> DiophGraph:
@@ -354,10 +358,9 @@ def _range_graph(vs: tuple[int, ...]) -> DiophGraph:
     N = len(vs)
     classes = []
     m = 0
-    for a, r0, rmax in _class_batches(N):
-        counts = (rmax - r0) // a + 1
-        m += int(counts.sum())
-        classes.append([x.astype(np.int32) for x in (a, r0, counts)])
+    for batch in _class_batches(N):
+        m += int(batch[2].sum())
+        classes.append([x.astype(np.int32) for x in batch])
 
     def batches():
         while classes:  # each batch is dropped once it is expanded
@@ -381,10 +384,12 @@ def _range_graph(vs: tuple[int, ...]) -> DiophGraph:
 
 
 def _rebuild(shift: int, vs: tuple[int, ...]) -> DiophGraph:
-    """The graph that a shift and sorted distinct positive vertices fix:
-    the root-class sweep for {1..N} at shift 1, pairwise testing
-    otherwise.  build_set (and so build_range at other shifts) and the
-    document loaders all build through it."""
+    """The graph that a positive shift and sorted distinct positive
+    vertices fix: the root-class sweep for {1..N} at shift 1, pairwise
+    testing otherwise.  build_range, build_set and the document loaders
+    all build through it."""
+    if shift < 1:
+        raise ValueError(f"shift must be positive, got {shift}")
     if shift == 1 and _is_range(vs):
         return _range_graph(vs)
     lo, hi = _pairwise_edges(vs, shift)
@@ -396,7 +401,7 @@ def range_edge_count(N: int) -> int:
     building it: each root class contributes a closed-form count of its
     multipliers."""
     _check_range_size(N)
-    return sum(int(((rmax - r0) // a + 1).sum()) for a, r0, rmax in _class_batches(N))
+    return sum(int(counts.sum()) for _, _, counts in _class_batches(N))
 
 
 @dataclass
@@ -421,13 +426,11 @@ def _forward_keys(G: DiophGraph, rank: np.ndarray) -> np.ndarray:
     """Sorted keys rank[u] * n + rank[v] of every edge uv oriented towards
     its higher rank, built over chunks of rows.  The keys of one source
     form its forward list, ascending by rank."""
-    n, indptr, indices = G.n, G.indptr, G.indices
+    n = G.n
     keys = np.empty(G.edge_count, dtype=np.int64)
     filled = 0
-    cuts = _row_cuts(indptr, _CLIQUE_CHUNK)
-    for r0, r1 in zip(cuts, cuts[1:]):
-        src = np.repeat(rank[r0:r1], np.diff(indptr[r0 : r1 + 1]))
-        dst = rank[indices[indptr[r0] : indptr[r1]]]
+    for rows, cols in _row_runs(G, _CLIQUE_CHUNK):
+        src, dst = rank[rows], rank[cols]
         forward = dst > src
         chunk = src[forward]
         chunk *= n
@@ -448,8 +451,8 @@ def _grow_cliques(adj: np.ndarray, best: int) -> tuple[int, tuple | None]:
     seen, and (row, positions) of a clique of size _CLIQUE_CAP once one
     is found, else None."""
     m, d, _ = adj.shape
-    rows = np.repeat(np.arange(m), d)
-    members = np.tile(np.arange(d), m)[:, None]
+    rows, members = np.divmod(np.arange(m * d), d)
+    members = members[:, None]
     cands = adj.reshape(m * d, d)
     size = 2
     best = max(best, size)
@@ -493,10 +496,12 @@ def _clique_number(G: DiophGraph) -> int:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
     keys = _forward_keys(G, rank)
-    fptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    fptr = _row_pointers(keys, n)
     fdeg = np.diff(fptr)
     best = 1
-    for d in np.unique(fdeg)[::-1].tolist():
+    # the forward degrees present, largest first (bincount, not numpy's
+    # unique, which imports numpy.ma: about 20 ms)
+    for d in np.flatnonzero(np.bincount(fdeg))[::-1].tolist():
         if d < best:  # a source of forward degree d is in cliques of at most d + 1
             break
         sources = np.flatnonzero(fdeg == d)
@@ -506,9 +511,8 @@ def _clique_number(G: DiophGraph) -> int:
             src = sources[c0 : c0 + step]
             fwd = keys[fptr[src][:, None] + np.arange(d)] % n
             pairs = fwd[:, lo] * n + fwd[:, hi]
-            at = np.minimum(np.searchsorted(keys, pairs), len(keys) - 1)
             adj = np.zeros((len(src), d, d), dtype=bool)
-            adj[:, lo, hi] = keys[at] == pairs
+            adj[:, lo, hi] = _lookup(keys, pairs)[1]
             best, found = _grow_cliques(adj, best)
             if found is not None:
                 if G.shift == 1:
@@ -602,14 +606,15 @@ def degree_bound_check(G: DiophGraph) -> DegreeBoundReport:
 
 
 def _restrict(G: DiophGraph, keep: np.ndarray) -> DiophGraph:
-    """The subgraph induced on the positions `keep` marks.  Renumbering
-    keeps the order, so the entries stay sorted."""
-    rows = G._rows()
-    kept = keep[rows] & keep[G.indices]
+    """The subgraph induced on the positions `keep` marks.  Keys are made
+    for every entry, then the kept ones taken: renumbering keeps the
+    order, so those come out sorted."""
+    kept = G._per_entry(keep) & keep[G.indices]
     renumber = np.cumsum(keep) - 1
-    vs = tuple(v for v, k in zip(G.vertices, keep.tolist()) if k)
-    indptr = np.searchsorted(renumber[rows[kept]], np.arange(len(vs) + 1))
-    return DiophGraph._from_csr(vs, indptr, renumber[G.indices[kept]], G.shift)
+    vs = tuple(compress(G.vertices, keep.tolist()))
+    keys = G._per_entry(renumber * len(vs))
+    keys += renumber[G.indices]
+    return DiophGraph._from_keys(vs, keys[kept], G.shift)
 
 
 def remove_vertex(G: DiophGraph, v: int) -> DiophGraph:
@@ -664,7 +669,7 @@ def _edge_chunks(G: DiophGraph, inner: str, between: str):
     + inner for each v; an edge (a, b) is then two spans of it, between +
     str(a) + inner and str(b), which numpy gathers, so labels of any size
     work."""
-    n, indptr, indices = G.n, G.indptr, G.indices
+    n = G.n
     if not G.edge_count:
         return
     labels = list(map(str, G.vertices))
@@ -678,11 +683,8 @@ def _edge_chunks(G: DiophGraph, inner: str, between: str):
     # an edge takes at most edge_bytes, and a run of rows with E entries
     # lists at most E edges in its upper half
     edge_bytes = len(between) + len(inner) + 2 * int(width.max())
-    cuts = _row_cuts(indptr, max(1, _CHUNK_BYTES // edge_bytes))
     skip = len(between)  # nothing comes before the first edge
-    for r0, r1 in zip(cuts, cuts[1:]):
-        cols = indices[indptr[r0] : indptr[r1]]
-        rows = np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(indptr[r0 : r1 + 1]))
+    for rows, cols in _row_runs(G, max(1, _CHUNK_BYTES // edge_bytes)):
         upper = cols > rows
         lo, hi = rows[upper], cols[upper]
         if not len(lo):
@@ -772,16 +774,11 @@ def graph_from_doc(doc: dict) -> DiophGraph:
     del doc  # load_graph_file holds no other reference: its lists go before the rebuild
     G = _rebuild(shift, vs)
     n = len(vs)
-    pos = np.searchsorted(labels, ends)
-    known = pos < n
-    known[known] = labels[pos[known]] == ends[known]
+    pos, known = _lookup(labels, ends)
     keys = pos.min(axis=1) * n
     keys += pos.max(axis=1)
     # G's adjacency entries keyed row * n + column, sorted as the CSR is
-    entries = G._rows() * n + G.indices
-    at = np.searchsorted(entries, keys)
-    real = at < len(entries)
-    real[real] = entries[at[real]] == keys[real]
+    real = _lookup(G._per_entry(np.arange(n, dtype=np.int64) * n) + G.indices, keys)[1]
     bad = np.flatnonzero(~(known.all(axis=1) & real))
     if len(bad):
         a, b = ends[bad[0]].tolist()

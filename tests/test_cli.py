@@ -407,6 +407,14 @@ def test_hamilton_commands(capsys):
     assert code == 1 and "no" in out
 
 
+@pytest.mark.parametrize("mode", ["--path", "--cycle"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_hamilton_nonpositive_cap_exits_2(capsys, mode, value):
+    code, out, err = run_cli(capsys, "hamilton", mode, "--N", "5", "--cap", value)
+    assert code == 2 and out == ""
+    assert "--cap must be positive" in err
+
+
 def test_represent_command(capsys, tmp_path):
     target = {
         "schema_version": 1,
@@ -543,6 +551,14 @@ def test_omega_command(capsys):
     assert doc["counts"][0] == 1 and doc["counts"][1] == 35
 
 
+def test_omega_beyond_int32_exits_2_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "omega", "--x", "3000000000")
+    assert code == 2 and out == ""
+    assert "x must" in err and "2**31 - 1" in err
+    assert time.perf_counter() - t0 < 1
+
+
 @pytest.mark.parametrize("C", ["nan", "inf", "-inf"])
 def test_omega_rejects_a_non_finite_C(capsys, C):
     for fmt in ("human", "json"):
@@ -637,3 +653,28 @@ def test_scalar_commands_start_without_numpy(tmp_path):
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 1, 0]  # K3,3 ends "unknown" within its budget
     assert loaded == []
+
+
+def test_graph_commands_start_without_numpy_ma(tmp_path):
+    # numpy 2's np.unique imports numpy.ma (about 20 ms): building, writing,
+    # loading, the clique search, pruning and colouring must not reach it
+    quad, g = tmp_path / "quad.txt", tmp_path / "g.json"
+    quad.write_text("".join(f"{v}\n" for v in K4_WITNESS), encoding="utf-8")
+    argvs = [
+        ["build", "--N", "300", "--out", str(g)],
+        ["stats", "--graph-file", str(g)],
+        ["prune", "--N", "300"],
+        ["chroma", "--witness-file", str(quad)],
+    ]
+    script = (
+        "import json, sys\n"
+        "from diograph.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert not loaded

@@ -160,13 +160,14 @@ def test_range_edge_count_matches_build():
 
 def root_classes_by_vertex(N):
     """Reference for `_class_batches`: the per-vertex sweep it replaced,
-    one `unit_roots_mod(a)` call per vertex a."""
+    one `unit_roots_mod(a)` call per vertex a, each class with the count
+    of its multipliers r0, r0 + a, ... up to isqrt(a*N + 1)."""
     for a in range(1, N - 1):
         rmax = isqrt(a * N + 1)
         for rho in unit_roots_mod(a).roots:
             r0 = a + 1 + (rho - a - 1) % a
             if r0 <= rmax:
-                yield a, r0, rmax
+                yield a, r0, len(range(r0, rmax + 1, a))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 33, 300, 2000, 10**4])
@@ -635,7 +636,7 @@ def clique_number_oriented(G, cap=5):
     deg = G._degrees()
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int64)
-    rows = G._rows()
+    rows = G._per_entry(np.arange(n))
     forward = rank[G.indices] > rank[rows]
     fptr = np.searchsorted(rows[forward], np.arange(n + 1)).tolist()
     fl = G.indices[forward].tolist()
