@@ -17,8 +17,8 @@ from math import isfinite, isqrt, log
 
 import numpy as np
 
-from .graph import DiophGraph, GraphStats, _is_range, edge_test, induced, stats
-from .numtheory import _prime_power_split, count_unit_roots
+from .graph import DiophGraph, GraphStats, _check_range_size, _is_range, edge_test, induced, stats
+from .numtheory import _passes, _root_counts, _spf_omega, count_unit_roots
 
 __all__ = [
     "HamiltonPathResult",
@@ -112,21 +112,26 @@ def heuristic_score(a: int) -> float:
 def heuristic_top(N: int, count: int) -> list[int]:
     """The `count` integers in [1, N] with the largest S(a)/sqrt(a),
     ties broken by smaller a.  Ranking is exact: S(a)^2 * b vs S(b)^2 * a
-    is compared in integers on the float-preselected slice."""
+    is compared in integers on a float-preselected slice, the best
+    `count + 256` float scores, merged pass by pass."""
+    _check_range_size(N)
     if count < 1 or count > N:
         raise ValueError(f"need 1 <= count <= N, got count={count}, N={N}")
-    s = _prime_power_split(N).S
-    score = s.astype(np.float64) ** 2
-    score[1:] /= np.arange(1, N + 1, dtype=np.float64)
-    score[0] = -1.0
-    np.negative(score, out=score)  # argpartition the negation in place, not a copy
+    omega = _spf_omega(N).omega
     take = min(N, count + 256)
-    cands = np.argpartition(score, take - 1)[:take]
-    ranked = sorted(
-        (int(a) for a in cands),
-        key=lambda a: (Fraction(-int(s[a]) ** 2, a), a),
-    )
-    return ranked[:count]
+    best = np.zeros(0, dtype=np.int64)
+    best_score = np.zeros(0)
+    for lo, hi in _passes(1, N + 1):
+        a = np.arange(lo, hi, dtype=np.int64)
+        score = _root_counts(omega[lo:hi], a) ** 2 / a
+        a, score = np.concatenate([best, a]), np.concatenate([best_score, score])
+        if len(a) > take:
+            keep = np.argpartition(-score, take - 1)[:take]
+            a, score = a[keep], score[keep]
+        best, best_score = a, score
+    s = _root_counts(omega[best], best).tolist()
+    ranked = sorted(zip(best.tolist(), s), key=lambda t: (Fraction(-t[1] ** 2, t[0]), t[0]))
+    return [a for a, _ in ranked[:count]]
 
 
 @dataclass
@@ -149,8 +154,11 @@ class OmegaDistribution:
 def omega_distribution(x: int, C: float | None = None) -> OmegaDistribution:
     if not 1 <= x < 1 << 31:
         raise ValueError(f"x must be between 1 and 2**31 - 1, got {x}")
-    omega = _prime_power_split(x).omega
-    counts = tuple(int(c) for c in np.bincount(omega[1 : x + 1]))
+    omega = _spf_omega(x).omega
+    counts = np.zeros(int(omega.max()) + 1, dtype=np.int64)
+    for lo, hi in _passes(1, x + 1):
+        counts += np.bincount(omega[lo:hi], minlength=len(counts))
+    counts = tuple(counts.tolist())
     if C is None:
         return OmegaDistribution(x, counts)
     if not (isfinite(C) and C > 1):

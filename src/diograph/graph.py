@@ -29,7 +29,7 @@ from itertools import compress
 
 import numpy as np
 
-from .numtheory import _prime_power_split, _unit_root_batches, is_square
+from .numtheory import _spf_omega, _unit_root_batches, is_square
 from .witnesses import (
     WitnessFileError,
     _vertex_list,
@@ -583,7 +583,7 @@ def degree_bound_check(G: DiophGraph) -> DegreeBoundReport:
     N = G.n
     if G.shift != 1 or not _is_range(G.vertices):
         raise ValueError("degree_bound_check needs a shift-1 graph on {1..N}")
-    omega = _prime_power_split(N).omega[1:].tolist()
+    omega = _spf_omega(N).omega[1:].tolist()
     violations = []
     max_ratio = 0.0
     argmax = 1

@@ -9,7 +9,12 @@ at or above 3.317 * 10**24 is only a BPSW probable prime and is listed in
 `factorize` raises `FactorizationBudgetError` instead of running on.
 
 Work over every a <= N (omega, S(a) and the roots of x^2 = 1 (mod a))
-reads one smallest-prime-factor sieve sized to N, built per call.
+reads one smallest-prime-factor sieve sized to N, built per call, and
+keeps two tables: spf (int32) and omega (uint8), omega filled in passes
+of at most `_TABLE_PASS` entries so that temporaries stay bounded.  S(a)
+is not stored: it is 2^(omega(a) - [a = 2 (mod 4)] + [8 | a]), computed
+from omega and a mod 8 where it is read (`_root_counts`).  Only the root
+sweep adds the split a = p^e * m and S as int32 tables of its own.
 """
 
 from __future__ import annotations
@@ -401,49 +406,87 @@ def _count_unit_roots(factors: dict[int, int]) -> int:
 # ---------------------------------------------------------------------------
 
 # Roots lifted per batch: bounds the batch temporaries (about ten int64
-# arrays of this length) whatever N is.  At least 1024, the largest S(a)
-# below 2**31, so every batch holds at least one a.
+# arrays of this length) whatever N is.  Batches are cut between moduli,
+# so an a with more roots (S(a) <= 1024 below 2**31) gets a batch alone.
 _ROOT_BATCH = 1 << 16
+# Entries per pass over a whole-range table: bounds each pass's
+# temporaries whatever N is.
+_TABLE_PASS = 1 << 16
 
 
-class _PrimePowerSplit(NamedTuple):
-    """Tables over every a in [0, N]; see `_prime_power_split`."""
+def _passes(lo: int, stop: int) -> Iterator[tuple[int, int]]:
+    """[lo, stop), lo >= 1, cut into passes [a0, a1) of at most
+    `_TABLE_PASS` entries with a1 <= 2*a0, so every a in a pass has
+    a/2 < a0: a table filled pass by pass from entries at or below a/2
+    reads only entries that earlier passes wrote."""
+    while lo < stop:
+        hi = min(2 * lo, lo + _TABLE_PASS, stop)
+        yield lo, hi
+        lo = hi
+
+
+class _SpfOmega(NamedTuple):
+    """Tables over every a in [0, N]; see `_spf_omega`."""
 
     spf: np.ndarray  # smallest prime p of a (int32)
-    m: np.ndarray  # a // q, where q = p^e is the exact power of p in a (int32)
     omega: np.ndarray  # number of distinct primes of a (uint8)
-    S: np.ndarray  # number of roots of x^2 = 1 (mod a) (int32)
 
 
-def _prime_power_split(N: int) -> _PrimePowerSplit:
-    """The split a = q * m of every a in [0, N], with omega(a) and S(a),
-    from one smallest-prime-factor sieve sized to N.  a = 1 has m = 1,
-    omega 0 and S 1; the entries of a = 0 mean nothing.
+def _spf_omega(N: int) -> _SpfOmega:
+    """The smallest prime factor and omega of every a in [0, N], from one
+    smallest-prime-factor sieve sized to N.  omega(1) = 0; the entries of
+    a = 0 mean nothing.
 
-    m[a] <= a/2, so the a in [lo, 2*lo) read only entries below lo and the
-    tables fill in about log2(N) vectorised passes: omega[a] = omega[m] + 1
-    and S[a] = S[m] * S(q), where S(q) is 2 for odd p and 1, 2 or 4 for
-    q = 2, 4 or a higher power of 2."""
+    With p = spf[a], omega[a] = omega[a/p] + (spf[a/p] != p), and a/p <= a/2,
+    so omega fills in bounded `_passes`."""
     import numpy as np
 
     if not 0 <= N < 2**31:  # int32 holds every entry
         raise ValueError(f"N must be below 2**31, got {N}")
     spf = _build_spf(N + 1)
-    m = np.ones(N + 1, dtype=np.int32)
     omega = np.zeros(N + 1, dtype=np.uint8)
+    for lo, hi in _passes(2, N + 1):
+        p = spf[lo:hi]
+        d = np.arange(lo, hi, dtype=np.int32) // p
+        omega[lo:hi] = omega[d] + (spf[d] != p)
+    return _SpfOmega(spf, omega)
+
+
+def _root_counts(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """S(a), the number of roots of x^2 = 1 (mod a), elementwise from
+    omega(a) and a mod 8: 2^(omega - [a = 2 (mod 4)] + [8 | a]), as int32
+    (the entry of a = 0 means nothing); `_count_unit_roots` for arrays."""
+    import numpy as np
+
+    return 1 << (omega.astype(np.int32) - (a % 4 == 2) + (a % 8 == 0))
+
+
+class _PrimePowerSplit(NamedTuple):
+    """Tables over every a in [0, N] for the root sweep; see
+    `_prime_power_split`."""
+
+    spf: np.ndarray  # smallest prime p of a (int32)
+    m: np.ndarray  # a // q, where q = p^e is the exact power of p in a (int32)
+    S: np.ndarray  # number of roots of x^2 = 1 (mod a) (int32)
+
+
+def _prime_power_split(N: int) -> _PrimePowerSplit:
+    """The split a = q * m of every a in [0, N], with S(a), from
+    `_spf_omega`.  a = 1 has m = 1 and S 1; the entries of a = 0 mean
+    nothing.  m[a] = m[a/p] when p | a/p and a/p otherwise, so m fills in
+    bounded `_passes`, beside S from `_root_counts`."""
+    import numpy as np
+
+    spf, omega = _spf_omega(N)
+    m = np.ones(N + 1, dtype=np.int32)
     S = np.ones(N + 1, dtype=np.int32)
-    lo = 2
-    while lo <= N:
-        hi = min(2 * lo, N + 1)
+    for lo, hi in _passes(2, N + 1):
         a = np.arange(lo, hi, dtype=np.int32)
         p = spf[lo:hi]
         m1 = a // p
         m[lo:hi] = np.where(spf[m1] == p, m[m1], m1)  # p^2 | a: m[a] = m[a/p]
-        mm = m[lo:hi]
-        omega[lo:hi] = omega[mm] + 1
-        S[lo:hi] = S[mm] * np.where(p > 2, 2, np.minimum(a // mm, 8) // 2)
-        lo = hi
-    return _PrimePowerSplit(spf, m, omega, S)
+        S[lo:hi] = _root_counts(omega[lo:hi], a)
+    return _PrimePowerSplit(spf, m, S)
 
 
 def _inverse_mod_prime_powers(m: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -480,31 +523,30 @@ def _unit_root_batches(N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     2^(e-1) +- 1 when q = 2^e >= 8):
     x = s + m * (((t - s) mod q) * u mod q) with u = m^-1 mod q, the
     assembly of `_crt_unit_roots`.  Every intermediate stays below
-    q^2 <= N^2.  A batch never spans a doubling of a, so the roots of
+    q^2 <= N^2.  A batch never spans one of `_passes`, so the roots of
     m <= a/2 were lifted by an earlier batch; only the roots of a <= N/2
     are kept for that (int32, since x < a)."""
     import numpy as np
 
-    spf, m, _, S = _prime_power_split(max(N, 0))
+    spf, m, S = _prime_power_split(max(N, 0))
     half = N // 2
     start = np.zeros(half + 2, dtype=np.int64)  # a's roots: kept[start[a]:start[a + 1]]
     np.cumsum(S[1 : half + 1], out=start[2:])
     kept = np.zeros(start[-1], dtype=np.int32)  # kept[0] = 0, the root of 1
     if N >= 1:
         yield np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    lo = 2
-    while lo <= N:
-        hi = min(2 * lo, N + 1)
+    for lo, hi in _passes(2, N + 1):
         ends = np.cumsum(S[lo:hi], dtype=np.int64)
         cuts = np.searchsorted(ends, np.arange(_ROOT_BATCH, ends[-1], _ROOT_BATCH), "right")
-        bounds = [lo, *(cuts + lo).tolist(), hi]
+        # an a with more than _ROOT_BATCH roots repeats a cut: drop the
+        # repeats, since an empty batch has no a[0]
+        bounds = list(dict.fromkeys([lo, *(cuts + lo).tolist(), hi]))
         for a0, a1 in zip(bounds, bounds[1:]):
             a, x = _lift_roots(a0, a1, spf, m, S, start, kept)
             if a0 <= half:
                 top = min(a1, half + 1)
                 kept[start[a0] : start[top]] = x[: start[top] - start[a0]]
             yield a, x
-        lo = hi
 
 
 def _lift_roots(a0, a1, spf, m, S, start, kept) -> tuple[np.ndarray, np.ndarray]:

@@ -150,6 +150,37 @@ def test_omega_distribution_matches_factorize():
     assert list(omega_distribution(x).counts) == brute
 
 
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_table_passes_of_any_size(monkeypatch, size):
+    from diograph import numtheory
+    from diograph.numtheory import count_unit_roots
+
+    monkeypatch.setattr(numtheory, "_TABLE_PASS", size)
+    x = 5000
+    brute = [0] * 6
+    for a in range(1, x + 1):
+        brute[factorize(a).omega] += 1
+    assert list(omega_distribution(x).counts) == brute
+    score = {a: Fraction(count_unit_roots(a) ** 2, a) for a in range(1, x + 1)}
+    exact = sorted(score, key=lambda a: (-score[a], a))
+    assert heuristic_top(x, 50) == exact[:50]
+
+
+def test_whole_range_statistics_stay_in_bounded_memory():
+    # each reads about 5.4 MiB here, the spf and omega tables and the
+    # sieve's masks; with whole-table temporaries, 21.9 MiB
+    import tracemalloc
+
+    for call in (lambda: heuristic_top(10**6, 1000), lambda: omega_distribution(10**6)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak / 2**20
+
+
 def test_heuristic_argmax_1e6_is_24():
     assert heuristic_top(10**6, 1)[0] == 24
 

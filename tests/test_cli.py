@@ -559,6 +559,14 @@ def test_omega_beyond_int32_exits_2_at_once(capsys):
     assert time.perf_counter() - t0 < 1
 
 
+def test_rank_beyond_int32_exits_2_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "rank", "--N", "3000000000", "--top", "1")
+    assert code == 2 and out == ""
+    assert "N must be between 1 and 2**31 - 1" in err
+    assert time.perf_counter() - t0 < 1
+
+
 @pytest.mark.parametrize("C", ["nan", "inf", "-inf"])
 def test_omega_rejects_a_non_finite_C(capsys, C):
     for fmt in ("human", "json"):

@@ -160,23 +160,43 @@ def test_unit_root_batches_on_powers_of_two_times_odd(monkeypatch):
 
 
 def test_prime_power_split_matches_factorize():
-    split = numtheory._prime_power_split(10**4)
-    assert split.spf.dtype == split.m.dtype == split.S.dtype == np.int32
-    assert split.omega.dtype == np.uint8
-    for a in range(2, 10**4 + 1):
+    N = 10**4
+    spf, omega = numtheory._spf_omega(N)
+    split = numtheory._prime_power_split(N)
+    assert spf.dtype == split.spf.dtype == split.m.dtype == split.S.dtype == np.int32
+    assert omega.dtype == np.uint8
+    S = numtheory._root_counts(omega, np.arange(N + 1))
+    assert np.array_equal(split.spf, spf)
+    assert np.array_equal(split.S[1:], S[1:])
+    for a in range(2, N + 1):
         f = factorize(a)
         p = min(f.factors)
-        assert split.spf[a] == p
+        assert spf[a] == p
+        assert omega[a] == f.omega
+        assert S[a] == count_unit_roots(a)
         assert split.m[a] == a // p ** f.factors[p]
-        assert split.omega[a] == f.omega
-        assert split.S[a] == count_unit_roots(a)
-    assert (split.m[1], split.omega[1], split.S[1]) == (1, 0, 1)
+    assert (omega[1], S[1], split.m[1], split.S[1]) == (0, 1, 1, 1)
 
 
 def test_prime_power_split_rejects_n_beyond_int32():
     for N in (-1, 2**31, 10**10):
-        with pytest.raises(ValueError, match=r"below 2\*\*31"):
-            numtheory._prime_power_split(N)
+        for tables in (numtheory._spf_omega, numtheory._prime_power_split):
+            with pytest.raises(ValueError, match=r"below 2\*\*31"):
+                tables(N)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_root_batches_smaller_than_one_modulus(monkeypatch, batch):
+    # a modulus with more roots than a batch holds gets a batch of its own
+    from diograph.graph import build_range
+
+    sizes = (1, 2, 3, 8, 33, 100, 300, 1000, 2000)
+    graphs = [build_range(N) for N in sizes]
+    roots = roots_by_modulus(2000)
+    monkeypatch.setattr(numtheory, "_ROOT_BATCH", batch)
+    assert roots_by_modulus(2000) == roots
+    for N, G in zip(sizes, graphs):
+        assert build_range(N) == G, N
 
 
 def test_root_count_headline_bound():
