@@ -7,6 +7,10 @@ x^2 = 1 (mod a): a vertex a of the range graph on {1..N} has about
 sqrt(N/a) * S(a) neighbors (S(a) root classes, sqrt-many multipliers
 each), so dividing out the common sqrt(N) leaves S(a)/sqrt(a) as the
 expected-degree score.  Its maximum over [1, 10^6] sits at a = 24.
+
+Hamiltonian paths and cycles are searched by one pruned DFS over
+neighbor bitmasks built from the graph's CSR arrays, `_hamilton_dfs`; a
+cycle is a path from vertex 0 whose last vertex must neighbor vertex 0.
 """
 
 from __future__ import annotations
@@ -232,23 +236,73 @@ def _mod4_path_refutation(G: DiophGraph) -> bool:
     return m2 == m0 + 1 and m2 + m0 < G.n
 
 
-def _bitmask_adjacency(G: DiophGraph) -> tuple[list[int], list[int]]:
-    """The vertex list and, per vertex index, the bitmask of its
-    neighbors' indices."""
-    verts = list(G.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in G.adjacency[v]:
-            adj[i] |= 1 << index[u]
-    return verts, adj
+def _bitmask_adjacency(G: DiophGraph) -> list[int]:
+    """Per vertex position, the bitmask of its neighbors' positions."""
+    adj = [0] * G.n
+    for i, j in zip(G._per_entry(np.arange(G.n)).tolist(), G.indices.tolist()):
+        adj[i] |= 1 << j
+    return adj
+
+
+def _hamilton_dfs(adj: list[int], path: list[int], unvisited: int, close: int) -> bool:
+    """Extend `path`, a list of vertex positions ending at the current
+    vertex, through every position in the bitmask `unvisited`.  A nonzero
+    `close` asks for a cycle: the last vertex must also neighbor a vertex
+    in `close`.  On success the whole path is left in `path` and True
+    returned; otherwise `path` is restored and False returned.
+
+    Neighbors are tried fewest unvisited neighbors first.  Two rules cut
+    branches that cannot complete, never reordering the rest: some
+    unvisited vertex is not reachable from the end through unvisited
+    vertices; or more unvisited vertices than there are free path ends
+    (one for a path, none for a cycle) have a single live connection,
+    to the end, `close` or an unvisited vertex, where every vertex still
+    to come but a path's last needs two."""
+    v = path[-1]
+    if not unvisited:
+        return not close or bool(adj[v] & close)
+    cand = adj[v] & unvisited
+    reach = frontier = cand
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & unvisited & ~reach
+        reach |= frontier
+    if reach != unvisited:
+        return False
+    live = unvisited | 1 << v | close
+    free_end = not close  # a path's last vertex needs one live connection
+    rest = unvisited
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = (adj[low.bit_length() - 1] & live).bit_count()
+        if c < 2:
+            if not free_end:
+                return False
+            free_end = False
+    nbrs = []
+    while cand:
+        low = cand & -cand
+        nbrs.append(low.bit_length() - 1)
+        cand ^= low
+    nbrs.sort(key=lambda i: (adj[i] & unvisited).bit_count())
+    for u in nbrs:
+        path.append(u)
+        if _hamilton_dfs(adj, path, unvisited & ~(1 << u), close):
+            return True
+        path.pop()
+    return False
 
 
 def hamiltonian_path_exists(G: DiophGraph, cap: int = 40) -> HamiltonPathResult:
     """Decide Hamiltonian-path existence: the mod-4 counting shortcut
-    refutes without search where it applies; otherwise exhaustive
-    backtracking with disconnect and degree-1 pruning, up to `cap`
-    vertices."""
+    refutes without search where it applies; otherwise `_hamilton_dfs`
+    searches exhaustively from each degree-1 vertex, or from every
+    vertex when there is none, up to `cap` vertices."""
     n = G.n
     if n <= 1:
         return HamiltonPathResult(True, tuple(G.vertices), "trivial")
@@ -256,116 +310,21 @@ def hamiltonian_path_exists(G: DiophGraph, cap: int = 40) -> HamiltonPathResult:
         return HamiltonPathResult(False, None, "mod4-counting")
     if n > cap:
         return HamiltonPathResult(None, None, "cap-exceeded")
-
-    verts, adj = _bitmask_adjacency(G)
+    adj = _bitmask_adjacency(G)
     full = (1 << n) - 1
-
-    if any(adj[i] == 0 for i in range(n)):
-        return HamiltonPathResult(False, None, "exhaustive")
     degree_one = [i for i in range(n) if adj[i].bit_count() == 1]
-    if len(degree_one) > 2:
-        return HamiltonPathResult(False, None, "exhaustive")
-
-    path: list[int] = []
-
-    def reachable(start_bit: int, allowed: int) -> int:
-        reach = start_bit
-        frontier = start_bit
-        while frontier:
-            nxt = 0
-            fb = frontier
-            while fb:
-                low = fb & -fb
-                nxt |= adj[low.bit_length() - 1]
-                fb ^= low
-            nxt &= allowed & ~reach
-            reach |= nxt
-            frontier = nxt
-        return reach
-
-    def dfs(v: int, visited: int) -> bool:
-        if visited == full:
-            return True
-        unvisited = full & ~visited
-        cand = adj[v] & unvisited
-        if not cand:
-            return False
-        if reachable(1 << v, unvisited) & unvisited != unvisited:
-            return False
-        # vertices with at most one live connection must be the final one
-        finals = 0
-        ub = unvisited
-        vbit = 1 << v
-        while ub:
-            low = ub & -ub
-            i = low.bit_length() - 1
-            ub ^= low
-            c = (adj[i] & unvisited).bit_count() + (1 if adj[i] & vbit else 0)
-            if c == 0:
-                return False
-            if c <= 1:
-                finals += 1
-                if finals > 1:
-                    return False
-        nbrs = []
-        cb = cand
-        while cb:
-            low = cb & -cb
-            i = low.bit_length() - 1
-            cb ^= low
-            nbrs.append(i)
-        nbrs.sort(key=lambda i: (adj[i] & unvisited).bit_count())
-        for u in nbrs:
-            path.append(u)
-            if dfs(u, visited | (1 << u)):
-                return True
-            path.pop()
-        return False
-
-    starts = degree_one if degree_one else list(range(n))
-    for s in starts:
-        path.clear()
-        path.append(s)
-        if dfs(s, 1 << s):
-            return HamiltonPathResult(
-                True, tuple(verts[i] for i in path), "exhaustive"
-            )
+    for s in degree_one or range(n):
+        path = [s]
+        if _hamilton_dfs(adj, path, full & ~(1 << s), 0):
+            return HamiltonPathResult(True, tuple(map(G.vertices.__getitem__, path)), "exhaustive")
     return HamiltonPathResult(False, None, "exhaustive")
 
 
 def mod4_neighbor_premise(G: DiophGraph) -> bool:
-    """Every neighbor of a vertex 2 mod 4 is divisible by 4."""
-    for v in G.vertices:
-        if v % 4 == 2:
-            if any(u % 4 != 0 for u in G.adjacency[v]):
-                return False
-    return True
-
-
-def _cycle_search(G: DiophGraph) -> list[int] | None:
-    """Exhaustive Hamiltonian-cycle search (small graphs only)."""
-    n = G.n
-    verts, adj = _bitmask_adjacency(G)
-    full = (1 << n) - 1
-    path = [0]
-
-    def dfs(v: int, visited: int) -> bool:
-        if visited == full:
-            return bool(adj[v] & 1)  # close back to vertex 0
-        cand = adj[v] & ~visited
-        while cand:
-            low = cand & -cand
-            u = low.bit_length() - 1
-            cand ^= low
-            path.append(u)
-            if dfs(u, visited | low):
-                return True
-            path.pop()
-        return False
-
-    if n >= 3 and dfs(0, 1):
-        return [verts[i] for i in path]
-    return None
+    """Every neighbor of a vertex 2 mod 4 is divisible by 4: checked at
+    every adjacency entry, so each edge in both orientations."""
+    residue = np.array([v % 4 for v in G.vertices], dtype=np.int8)
+    return not np.any((G._per_entry(residue) == 2) & (residue[G.indices] != 0))
 
 
 # Range graphs up to this size also get the exhaustive cycle search.
@@ -376,7 +335,8 @@ def hamiltonian_cycle_exists(G: DiophGraph) -> bool:
     """Always False on range graphs {1..N}, N >= 3: vertices 2 mod 4 only
     neighbor multiples of 4, and the former class is at least as large,
     so a cycle would have to alternate the two classes and exclude every
-    odd number.  Confirmed exhaustively for n <= _CYCLE_SEARCH_LIMIT."""
+    odd number.  Confirmed for n <= _CYCLE_SEARCH_LIMIT by the path
+    search `_hamilton_dfs`, run from vertex 0 and closed back to it."""
     N = G.n
     if G.shift != 1 or not _is_range(G.vertices):
         raise ValueError("cycle analysis applies to shift-1 graphs on {1..N}")
@@ -387,8 +347,8 @@ def hamiltonian_cycle_exists(G: DiophGraph) -> bool:
     m2, m0 = _mod4_counts(G)
     if m2 < m0 or m2 < 1:
         raise RuntimeError("mod-4 class counting premise violated on a range")
-    if N <= _CYCLE_SEARCH_LIMIT:
-        witness = _cycle_search(G)
-        if witness is not None:
-            raise RuntimeError(f"exhaustive search found a Hamiltonian cycle: {witness}")
+    path = [0]
+    if N <= _CYCLE_SEARCH_LIMIT and _hamilton_dfs(_bitmask_adjacency(G), path, (1 << N) - 2, 1):
+        witness = list(map(G.vertices.__getitem__, path))
+        raise RuntimeError(f"exhaustive search found a Hamiltonian cycle: {witness}")
     return False

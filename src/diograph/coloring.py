@@ -60,14 +60,14 @@ def _symmetry_clique(G: DiophGraph, order: list[int]) -> list[int]:
     return clique
 
 
-def _verify_coloring(G: DiophGraph, assignment: dict[int, int]) -> None:
-    for a in G.vertices:
-        ca = assignment[a]
-        for b in G.adjacency[a]:
-            if assignment[b] == ca:
-                raise RuntimeError(
-                    f"engine returned an improper coloring: {a} and {b} share {ca}"
-                )
+def _verify_coloring(
+    G: DiophGraph, assignment: dict[int, int], what: str = "engine returned an improper coloring"
+) -> None:
+    """Raise RuntimeError(what: a and b share c) at the first edge (a, b)
+    whose ends share the color c."""
+    for a, b in G.edges():
+        if assignment[a] == assignment[b]:
+            raise RuntimeError(f"{what}: {a} and {b} share {assignment[a]}")
 
 
 def _propagate(
@@ -217,11 +217,5 @@ def mod4_coloring_shift2(G: DiophGraph) -> dict[int, int]:
     if G.shift != 2:
         raise ValueError(f"mod4 coloring applies to shift-2 graphs, got shift {G.shift}")
     coloring = {v: 0 if v % 2 == 0 else (1 if v % 4 == 1 else 2) for v in G.vertices}
-    for a in G.vertices:
-        for b in G.adjacency[a]:
-            if coloring[a] == coloring[b]:
-                raise RuntimeError(
-                    f"mod4 coloring is improper on edge ({a}, {b}); "
-                    "this contradicts squares being 0 or 1 mod 4"
-                )
+    _verify_coloring(G, coloring, "mod4 coloring is improper, contradicting squares being 0 or 1 mod 4")
     return coloring

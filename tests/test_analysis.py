@@ -7,6 +7,8 @@ import pytest
 from diograph.analysis import (
     PruneStep,
     PruneTrace,
+    _bitmask_adjacency,
+    _hamilton_dfs,
     hamiltonian_cycle_exists,
     hamiltonian_path_exists,
     heuristic_score,
@@ -18,6 +20,7 @@ from diograph.analysis import (
 )
 from diograph.graph import DiophGraph, build_range, build_set, edge_test, remove_vertex, stats
 from diograph.numtheory import factorize
+from diograph.witnesses import C6_COMPLEMENT_WITNESS, FIVE_CHROMATIC_WITNESS
 
 
 def abstract_graph(n, edges, shift=10**9):
@@ -268,10 +271,150 @@ def test_hamiltonian_path_exhaustive_matches_brute_enumeration():
         assert res.exists is brute, N
 
 
+# The paths hamiltonian_path_exists finds on {1..N}, N <= 40.  Every
+# other N has none: shown by counting when N = 2, 3 (mod 4), else by search.
+RANGE_PATHS = {
+    1: (1,),
+    8: (2, 4, 6, 8, 1, 3, 5, 7),
+    9: (2, 4, 6, 8, 1, 3, 5, 7, 9),
+    12: (11, 9, 7, 5, 3, 1, 8, 6, 4, 2, 12, 10),
+    13: (13, 11, 9, 7, 5, 3, 1, 8, 6, 4, 2, 12, 10),
+    16: (1, 15, 13, 11, 9, 7, 5, 3, 16, 14, 12, 2, 4, 6, 8, 10),
+    20: (19, 17, 15, 13, 11, 9, 7, 5, 3, 1, 8, 10, 12, 2, 4, 6, 20, 18, 16, 14),
+    21: (1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 8, 10, 12, 2, 4, 6, 20, 18, 16, 14),
+    24: (
+        23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1, 8, 10, 12, 14, 16, 18, 20, 6, 4, 2, 24, 22,
+    ),
+    25: (
+        25, 23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1, 8, 10, 12, 14, 16, 18, 20, 6, 4, 2,
+        24, 22,
+    ),
+    28: (
+        27, 25, 23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1, 8, 10, 12, 14, 16, 18, 20, 22, 24,
+        2, 4, 6, 28, 26,
+    ),
+    29: (
+        29, 27, 25, 23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1, 8, 10, 12, 14, 16, 18, 20, 22,
+        24, 2, 4, 6, 28, 26,
+    ),
+    36: (
+        1, 35, 33, 31, 29, 27, 25, 23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 16, 14, 12, 2, 4,
+        30, 32, 34, 36, 10, 8, 6, 28, 26, 24, 22, 20, 18,
+    ),
+    37: (
+        37, 35, 33, 31, 29, 27, 25, 23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1, 8, 10, 36, 34,
+        32, 30, 28, 26, 24, 22, 20, 6, 4, 2, 12, 14, 16, 18,
+    ),
+    40: (
+        1, 35, 37, 39, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 3, 16, 14, 12,
+        10, 8, 6, 4, 2, 40, 38, 36, 34, 32, 30, 28, 26, 24, 22, 20, 18,
+    ),
+}
+
+
+def test_hamiltonian_paths_on_ranges_are_pinned():
+    for N in range(1, 41):
+        res = hamiltonian_path_exists(build_range(N))
+        if N in RANGE_PATHS:
+            expected = (True, "trivial" if N == 1 else "exhaustive", RANGE_PATHS[N])
+        else:
+            expected = (False, "mod4-counting" if N % 4 in (2, 3) else "exhaustive", None)
+        assert (res.exists, res.method, res.path) == expected, N
+
+
+def grown_witness_subset(seed, size):
+    """`size` vertices of the 80-vertex witness, grown from a random one
+    by adding a random neighbor of the set at each step."""
+    rng = random.Random(seed)
+    whole = build_set(FIVE_CHROMATIC_WITNESS)
+    sub = {rng.choice(FIVE_CHROMATIC_WITNESS)}
+    while len(sub) < size:
+        sub.add(rng.choice(sorted({u for v in sub for u in whole.adjacency[v]} - sub)))
+    return sorted(sub)
+
+
+# seed -> the path found in grown_witness_subset(seed, 18 + seed % 13), or None
+WITNESS_SUBSET_PATHS = {
+    10: None,
+    12: (
+        1, 80, 30, 168, 96, 380, 2380, 2520, 2, 180, 28, 60, 84, 152, 240, 840, 52, 14, 360,
+        23, 816, 35, 24, 210, 8, 105, 48, 20, 6, 280,
+    ),
+    24: (
+        16, 60, 132, 32, 9, 11, 2184, 20, 120, 52, 462, 204, 140, 408, 180, 28, 6, 840, 2,
+        420, 4, 56, 30, 168, 96, 44, 12, 24, 1365,
+    ),
+    49: (
+        2, 264, 7, 120, 14, 12, 2380, 380, 96, 3, 40, 21, 88, 5, 72, 4, 56, 33, 35, 136, 210,
+        24, 22, 204, 360, 560, 1140, 456,
+    ),
+    50: None,
+    60: (
+        1, 728, 408, 3, 56, 30, 4, 110, 360, 14, 132, 34, 312, 140, 36, 10, 96, 23, 88, 21,
+        40, 24, 70, 2184, 52, 840,
+    ),
+    64: None,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WITNESS_SUBSET_PATHS))
+def test_hamiltonian_paths_on_witness_subsets_are_pinned(seed):
+    res = hamiltonian_path_exists(build_set(grown_witness_subset(seed, 18 + seed % 13)))
+    path = WITNESS_SUBSET_PATHS[seed]
+    assert (res.exists, res.method, res.path) == (path is not None, "exhaustive", path)
+
+
+def hamiltonian_cycle(G):
+    """A Hamiltonian cycle of G as a vertex list, or None."""
+    path = [0]
+    if G.n >= 3 and _hamilton_dfs(_bitmask_adjacency(G), path, (1 << G.n) - 2, 1):
+        return [G.vertices[i] for i in path]
+    return None
+
+
+def test_hamilton_dfs_matches_brute_force_on_random_graphs():
+    from itertools import combinations, permutations
+
+    rng = random.Random(18)
+    graphs = [build_set(C6_COMPLEMENT_WITNESS)]
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        pairs = list(combinations(range(1, n + 1), 2))
+        graphs.append(abstract_graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
+    found = {"path": 0, "cycle": 0}
+    for g in graphs:
+        edges = set(g.edges())
+        edges |= {(b, a) for a, b in edges}
+        first, *rest = g.vertices
+        brute_path = any(
+            all(map(edges.__contains__, zip(p, p[1:]))) for p in permutations(g.vertices)
+        )
+        brute_cycle = g.n >= 3 and any(
+            all(map(edges.__contains__, zip((first, *p), (*p, first)))) for p in permutations(rest)
+        )
+        res = hamiltonian_path_exists(g)
+        assert res.exists is brute_path, g
+        cycle = hamiltonian_cycle(g)
+        assert (cycle is not None) is brute_cycle, g
+        if res.path:
+            assert sorted(res.path) == list(g.vertices)
+            assert all(map(g.has_edge, res.path, res.path[1:]))
+        if cycle:
+            assert sorted(cycle) == list(g.vertices)
+            assert all(map(g.has_edge, cycle, cycle[1:] + cycle[:1]))
+        found["path"] += brute_path
+        found["cycle"] += brute_cycle
+    assert hamiltonian_cycle(graphs[0]) is not None
+    assert found["path"] > 100 and found["cycle"] > 50, found
+
+
 def test_mod4_neighbor_premise():
     assert mod4_neighbor_premise(build_range(2000))
     bad = abstract_graph(3, [(2, 3)])  # 2 adjacent to 3: premise breaks
     assert not mod4_neighbor_premise(bad)
+    for edge in ((1, 2), (2, 6), (3, 6), (6, 5)):  # a vertex 2 mod 4 on either end
+        assert not mod4_neighbor_premise(abstract_graph(6, [edge])), edge
+    assert mod4_neighbor_premise(abstract_graph(6, [(2, 4), (1, 3), (4, 5)]))
 
 
 def test_hamiltonian_cycle_always_false():

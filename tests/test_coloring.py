@@ -6,6 +6,7 @@ import pytest
 from diograph.coloring import (
     ColorStats,
     _propagate,
+    _verify_coloring,
     chromatic_number,
     k_colorable,
     minimality_check,
@@ -210,6 +211,15 @@ def test_mod4_coloring_shift2():
     assert mod4_coloring_shift2(single) == {7: 2}
     with pytest.raises(ValueError):
         mod4_coloring_shift2(build_range(10, shift=1))
+
+
+def test_verify_coloring_names_the_first_improper_edge():
+    g = build_set(K4_WITNESS)
+    _verify_coloring(g, {1: 0, 3: 1, 8: 2, 120: 3})
+    with pytest.raises(RuntimeError, match="improper coloring: 3 and 8 share 1$"):
+        _verify_coloring(g, {1: 0, 3: 1, 8: 1, 120: 1})
+    with pytest.raises(RuntimeError, match="^mod4 rule: 1 and 120 share 0$"):
+        _verify_coloring(g, {1: 0, 3: 1, 8: 2, 120: 0}, "mod4 rule")
 
 
 def test_thousand_vertex_heuristic_graph_refutation():
