@@ -15,6 +15,7 @@ cycle is a path from vertex 0 whose last vertex must neighbor vertex 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, isqrt, log
@@ -302,7 +303,9 @@ def hamiltonian_path_exists(G: DiophGraph, cap: int = 40) -> HamiltonPathResult:
     """Decide Hamiltonian-path existence: the mod-4 counting shortcut
     refutes without search where it applies; otherwise `_hamilton_dfs`
     searches exhaustively from each degree-1 vertex, or from every
-    vertex when there is none, up to `cap` vertices."""
+    vertex when there is none, up to `cap` vertices.  A search that
+    nests deeper than Python's recursion limit raises ValueError rather
+    than report a refutation it did not finish."""
     n = G.n
     if n <= 1:
         return HamiltonPathResult(True, tuple(G.vertices), "trivial")
@@ -313,10 +316,16 @@ def hamiltonian_path_exists(G: DiophGraph, cap: int = 40) -> HamiltonPathResult:
     adj = _bitmask_adjacency(G)
     full = (1 << n) - 1
     degree_one = [i for i in range(n) if adj[i].bit_count() == 1]
-    for s in degree_one or range(n):
-        path = [s]
-        if _hamilton_dfs(adj, path, full & ~(1 << s), 0):
-            return HamiltonPathResult(True, tuple(map(G.vertices.__getitem__, path)), "exhaustive")
+    try:
+        for s in degree_one or range(n):
+            path = [s]
+            if _hamilton_dfs(adj, path, full & ~(1 << s), 0):
+                return HamiltonPathResult(True, tuple(map(G.vertices.__getitem__, path)), "exhaustive")
+    except RecursionError:  # the DFS nests one call per path vertex
+        raise ValueError(
+            f"the Hamiltonian path search on {n} vertices nested deeper than Python's "
+            f"recursion limit ({sys.getrecursionlimit()}); no verdict"
+        ) from None
     return HamiltonPathResult(False, None, "exhaustive")
 
 

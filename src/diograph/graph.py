@@ -25,7 +25,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -249,18 +249,23 @@ def _row_pointers(keys: np.ndarray, n: int) -> np.ndarray:
     return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
 
 
-def _row_runs(G: DiophGraph, entries: int):
-    """(rows, cols) of the adjacency entries of each run of whole rows,
-    a run starting at every `entries` entries: entry k lies in row
-    rows[k] and column cols[k]."""
+def _row_spans(G: DiophGraph, entries: int) -> list[tuple[int, int]]:
+    """Runs [r0, r1) of whole rows that hold all adjacency entries, a run
+    starting at every `entries` entries."""
     indptr = G.indptr
     firsts = np.searchsorted(indptr, np.arange(0, indptr[-1], entries), "right") - 1
     # the firsts ascend, so dict.fromkeys drops their repeats in order
     # without numpy's unique, which imports numpy.ma (about 20 ms)
     cuts = list(dict.fromkeys([*firsts.tolist(), G.n]))
-    for r0, r1 in zip(cuts, cuts[1:]):
+    return list(zip(cuts, cuts[1:]))
+
+
+def _row_runs(G: DiophGraph, entries: int):
+    """(rows, cols) of the adjacency entries of each run of `_row_spans`:
+    entry k lies in row rows[k] and column cols[k]."""
+    for r0, r1 in _row_spans(G, entries):
         rows = G._per_entry(np.arange(r0, r1, dtype=np.int64), r0)
-        yield rows, G.indices[indptr[r0] : indptr[r1]]
+        yield rows, G.indices[G.indptr[r0] : G.indptr[r1]]
 
 
 def _lookup(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,6 +425,9 @@ _CLIQUE_CAP = 5
 # Clique-search work per chunk: adjacency entries per forward-key pass and
 # candidate pairs per forward-list matrix, each costing a few int64 words.
 _CLIQUE_CHUNK = 1 << 16
+# Adjacency entries per run of whole rows in the component and restriction
+# passes.
+_ROW_CHUNK = 1 << 16
 
 
 def _forward_keys(G: DiophGraph, rank: np.ndarray) -> np.ndarray:
@@ -527,27 +535,37 @@ def _clique_number(G: DiophGraph) -> int:
 def _component_count(G: DiophGraph) -> int:
     """Connected components by min-label propagation: every vertex takes
     the smallest label among itself and its neighbors, then labels are
-    followed to their fixpoint (pointer jumping).  Labels only fall and
-    stay inside a component, so at the fixpoint each component carries
-    the position of its smallest vertex."""
+    followed to their fixpoint (pointer jumping), until a pass lowers no
+    label.  Labels only fall and stay inside a component, so at the end
+    each component carries the position of its smallest vertex.  The
+    neighbors' labels are gathered and reduced one run of whole rows at a
+    time (`_row_spans`), each run reading the labels the earlier ones
+    lowered, so beside the labels a pass holds a few arrays of
+    _ROW_CHUNK entries."""
     n = G.n
-    label = np.arange(n, dtype=np.int64)
-    linked = G._degrees() > 0
-    starts = G.indptr[:-1][linked]
-    while True:
-        new = label.copy()
-        if len(starts):
-            new[linked] = np.minimum(
-                new[linked], np.minimum.reduceat(label[G.indices], starts)
-            )
+    indptr = G.indptr
+    # positions fit int32: a graph of 2**31 vertices would hold 16 GiB in
+    # `vertices` alone
+    label = np.arange(n, dtype=np.int32)
+    spans = _row_spans(G, _ROW_CHUNK)
+    lowered = True
+    while lowered:
+        lowered = False
+        for r0, r1 in spans:
+            ptr = indptr[r0 : r1 + 1]
+            rows = np.flatnonzero(ptr[1:] != ptr[:-1])  # rows with neighbors
+            least = np.minimum.reduceat(label[G.indices[ptr[0] : ptr[-1]]], ptr[rows] - ptr[0])
+            rows += r0
+            lower = least < label[rows]
+            if lower.any():
+                label[rows[lower]] = least[lower]
+                lowered = True
         while True:
-            jumped = new[new]
-            if np.array_equal(jumped, new):
+            jumped = label[label]
+            if np.array_equal(jumped, label):
                 break
-            new = jumped
-        if np.array_equal(new, label):
-            return int(np.count_nonzero(label == np.arange(n)))
-        label = new
+            label = jumped
+    return int(np.count_nonzero(label == np.arange(n)))
 
 
 def stats(G: DiophGraph) -> GraphStats:
@@ -606,22 +624,36 @@ def degree_bound_check(G: DiophGraph) -> DegreeBoundReport:
 
 
 def _restrict(G: DiophGraph, keep: np.ndarray) -> DiophGraph:
-    """The subgraph induced on the positions `keep` marks.  Keys are made
-    for every entry, then the kept ones taken: renumbering keeps the
-    order, so those come out sorted."""
-    kept = G._per_entry(keep) & keep[G.indices]
+    """The subgraph induced on the positions `keep` marks, counted, then
+    filled: the kept entries are counted one run of rows at a time
+    (`_row_spans`), then their keys are written into one array of that
+    size, again by runs.  Renumbering keeps the order, so the keys come
+    out sorted; beside them and the vertex tables, one run's temporaries
+    are all it holds."""
     renumber = np.cumsum(keep) - 1
     vs = tuple(compress(G.vertices, keep.tolist()))
-    keys = G._per_entry(renumber * len(vs))
-    keys += renumber[G.indices]
-    return DiophGraph._from_keys(vs, keys[kept], G.shift)
+    spans = _row_spans(G, _ROW_CHUNK)
+
+    def kept(r0, r1):  # the columns of the run's entries, and which are kept
+        cols = G.indices[G.indptr[r0] : G.indptr[r1]]
+        return cols, G._per_entry(keep[r0:r1], r0) & keep[cols]
+
+    keys = np.empty(sum(np.count_nonzero(kept(*span)[1]) for span in spans), dtype=np.int64)
+    at = 0
+    for r0, r1 in spans:
+        cols, mask = kept(r0, r1)
+        chunk = G._per_entry(renumber[r0:r1] * len(vs), r0)[mask]
+        chunk += renumber[cols[mask]]
+        keys[at : at + len(chunk)] = chunk
+        at += len(chunk)
+    return DiophGraph._from_keys(vs, keys, G.shift)
 
 
 def remove_vertex(G: DiophGraph, v: int) -> DiophGraph:
-    if v not in G.adjacency:
+    # a scan: G's label index would add two thirds of the result to the peak
+    keep = np.fromiter((u != v for u in G.vertices), dtype=bool, count=G.n)
+    if keep.all():
         raise ValueError(f"vertex {v} not in graph")
-    keep = np.ones(G.n, dtype=bool)
-    keep[G._position(v)] = False
     return _restrict(G, keep)
 
 
@@ -654,9 +686,10 @@ def graph_to_doc(G: DiophGraph) -> dict:
     return {**_doc_head(G), "edges": G.edges()}
 
 
-# Output bytes per chunk of the encoder.  Its gather index and the arange
-# added to it take 16 bytes per output byte, so a chunk takes about 4 MiB
-# at any N; larger chunks were no faster on the N = 10^5 range graph.
+# Output bytes per chunk of the encoder, and bytes per read of the document
+# check.  The encoder's gather index and the arange added to it take 16
+# bytes per output byte, so a chunk takes about 4 MiB at any N; larger
+# chunks were no faster on the N = 10^5 range graph.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -816,42 +849,59 @@ def save_graph_file(G: DiophGraph, path) -> None:
         fh.write(b"}\n")
 
 
-def _load_canonical(data: bytes) -> DiophGraph | None:
+def _load_canonical(fh) -> DiophGraph | None:
     """The graph of a document in exactly the layout save_graph_file
-    writes, or None for any other document.
+    writes, read from the binary file `fh`, or None for any other
+    document.
 
-    Only the fields before the last `, "edges": ` are parsed (and checked
-    as graph_from_doc checks them); `_rebuild` makes the graph they fix,
-    and its encoded edges must equal the listed ones byte for byte,
-    followed by `}` and whitespace.  The edges are never parsed."""
-    cut = data.rfind(_EDGES_KEY)
-    if cut < 0:
-        return None
+    The file is read in pieces of _CHUNK_BYTES up to the first
+    `, "edges": `; only the fields before it are parsed (and checked as
+    graph_from_doc checks them).  `_rebuild` makes the graph they fix, and
+    each piece of its encoded edges must equal the next bytes of the file,
+    which must end with `}` and whitespace.  So beside the graph the check
+    holds the header and a piece of the edges, never the whole file, and
+    the edges are never parsed."""
+    key = _EDGES_KEY
+    head = bytearray()
+    cut = -1
+    while cut < 0:
+        piece = fh.read(_CHUNK_BYTES)
+        if not piece:
+            return None
+        start = max(0, len(head) - len(key) + 1)  # a key may straddle two reads
+        head += piece
+        cut = head.find(key, start)
+    rest = bytes(head[cut + len(key) :])
     try:
         # a header object of at least one field (shift and vertices are
         # required) stays valid JSON with the edges appended
-        shift, vs = _doc_header(json.loads(data[:cut].decode("utf-8") + "}"))
+        shift, vs = _doc_header(json.loads(head[:cut].decode("utf-8") + "}"))
     except ValueError:  # including invalid JSON and invalid UTF-8
         return None
+    del head
     G = _rebuild(shift, vs)
-    pos = cut + len(_EDGES_KEY)
-    for piece in _json_edges(G):
-        if not data.startswith(piece, pos):
+    for piece in chain(_json_edges(G), [b"}"]):
+        if len(rest) < len(piece):
+            rest += fh.read(len(piece) - len(rest))
+        if not rest.startswith(piece):
             return None
-        pos += len(piece)
-    if data[pos : pos + 1] != b"}" or data[pos + 1 :].strip(b" \t\n\r"):
-        return None
-    return G
+        rest = rest[len(piece) :]
+    while not rest.strip(b" \t\n\r"):
+        rest = fh.read(_CHUNK_BYTES)
+        if not rest:
+            return G
+    return None
 
 
 def load_graph_file(path) -> DiophGraph:
     """Load a graph document.  A document in the layout save_graph_file
-    writes is checked by rebuilding its graph and comparing encodings;
-    any other document (version 1, indented, reordered or faulty) goes
-    through `read_json_file` and `graph_from_doc`, which accept the same
-    documents and name the fault of any other."""
+    writes is checked as it is read, by rebuilding its graph and comparing
+    encodings piece by piece (`_load_canonical`), so the file is never
+    held whole; any other document (version 1, indented, reordered or
+    faulty) goes through `read_json_file` and `graph_from_doc`, which
+    accept the same documents and name the fault of any other."""
     with open(path, "rb") as fh:
-        G = _load_canonical(fh.read())
+        G = _load_canonical(fh)
     return G if G is not None else graph_from_doc(read_json_file(path))
 
 

@@ -415,6 +415,21 @@ def test_hamilton_nonpositive_cap_exits_2(capsys, mode, value):
     assert "--cap must be positive" in err
 
 
+def test_hamilton_search_past_the_recursion_limit_exits_2_at_once():
+    # the DFS nests one call per path vertex; on {1..1200} it passes
+    # Python's default limit within about a second, and must not report
+    # the exit code of a refuted path
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "diograph", "hamilton", "--path", "--N", "1200", "--cap", "1200"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and "recursion limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_represent_command(capsys, tmp_path):
     target = {
         "schema_version": 1,

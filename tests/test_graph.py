@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import re
@@ -524,7 +525,7 @@ def test_loader_agrees_with_the_general_path_on_mutated_documents(tmp_path):
             data = _mutate(data, kind, at, pick)
         path.write_bytes(data)
         general = outcome(lambda: graph_from_doc(read_json_file(path)))
-        fast = _load_canonical(data)
+        fast = _load_canonical(io.BytesIO(data))
         if fast is not None:
             assert general == fast
         assert outcome(lambda: load_graph_file(path)) == general
@@ -545,8 +546,63 @@ def test_every_saved_document_takes_the_rebuild_path(tmp_path):
         build_set([]),
     ):
         save_graph_file(g, path)
-        assert _load_canonical(path.read_bytes()) == g
+        with open(path, "rb") as fh:
+            assert _load_canonical(fh) == g
         assert load_graph_file(path) == g
+
+
+@pytest.mark.parametrize("read_bytes", [1, 7, 4096])
+def test_streamed_check_agrees_with_the_general_path(tmp_path, monkeypatch, read_bytes):
+    # reads of 1, 7 or 4096 bytes split the header, the `, "edges": ` key
+    # and the encoder's pieces (which shrink with the same constant)
+    from diograph.graph import _EDGES_KEY, _load_canonical, read_json_file
+
+    monkeypatch.setattr(graph_module, "_CHUNK_BYTES", read_bytes)
+    path = tmp_path / "g.json"
+
+    def outcome(load):
+        try:
+            return load()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    def streamed(data):
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            return _load_canonical(fh)
+
+    for G in (build_range(30), build_range(2000), build_range(20, shift=2),
+              build_set([1, 3, 2**66 - 1, 2**80]), build_set([])):
+        save_graph_file(G, path)
+        data = path.read_bytes()
+        cut = data.index(_EDGES_KEY)
+        # spaces after `{` that put the key 5 bytes before a read boundary
+        pad = b" " * (-(cut + 5) % read_bytes)
+        straddled = data[:1] + pad + data[1:]
+        assert streamed(data) == G
+        assert streamed(straddled) == G
+        assert streamed(data.rstrip() + b" \r\n\t " * 3000) == G
+        variants = [
+            straddled,
+            data[:-2],  # truncated: no closing brace
+            data[: cut + 5],  # truncated inside the key
+            data[: cut + len(_EDGES_KEY) + 3],  # truncated inside the edges
+            data[: cut // 2],  # truncated inside the header
+            data + b"x",  # trailing garbage
+            data.rstrip() + b" " * 5000 + b"}",
+            data.rstrip() + b"[]",
+            data.rstrip()[:-1] + b', "edges": [[1, 3]]}',  # a second edges key
+            data.rstrip()[:-1] + _EDGES_KEY + data[cut + len(_EDGES_KEY) :],
+            data[:cut] + b', "edges": []' + data[cut:],
+            data[:1] + b'"edges": [[1, 3]], ' + data[1:],
+            data[:cut] + b"\n" + data[cut:],
+        ]
+        for doc in variants:
+            fast = streamed(doc)
+            general = outcome(lambda: graph_from_doc(read_json_file(path)))
+            if fast is not None:
+                assert fast == general
+            assert outcome(lambda: load_graph_file(path)) == general
 
 
 def test_shift_2_graph():
@@ -777,18 +833,16 @@ def test_range_build_memory_stays_near_its_result():
 
 
 def test_save_and_load_memory_stays_bounded(tmp_path):
-    from diograph.graph import _load_canonical
-
     # they read about 10 and 23 MiB here; with encoder chunks of 2**16
-    # edges and the whole-edge arrays of the old range build, 48 and 68 MiB
+    # edges and the whole-edge arrays of the old range build, 48 and 68
+    # MiB to save, and 33 MiB to load from the whole file read at once
     path = tmp_path / "g.json"
     G = build_range(10**5)
     _, peak = traced_peak(lambda: save_graph_file(G, path))
     assert peak <= 40 * 2**20, peak / 2**20
-    data = path.read_bytes()  # read before tracing: the peak is above it
-    H, peak = traced_peak(lambda: _load_canonical(data))
+    H, peak = traced_peak(lambda: load_graph_file(path))
     assert H == G
-    assert peak <= 40 * 2**20, peak / 2**20
+    assert peak <= 28 * 2**20, peak / 2**20
 
 
 @pytest.fixture(params=[None, 32, 100], ids=lambda b: f"batch={b}")
@@ -871,6 +925,70 @@ def test_clique_and_components_match_references_on_abstract_graphs():
         assert_matches_references(G)
     assert _clique_number(graphs[2]) == 5
     assert stats(graphs[2]).clique_number == 5  # abstract: no tripwire
+
+
+@pytest.fixture(params=[None, 1, 3, 7], ids=lambda c: f"chunk={c}")
+def row_chunk(request, monkeypatch):
+    """Runs a test with the module's row runs and with tiny ones, so that
+    runs break between any two rows."""
+    if request.param is not None:
+        monkeypatch.setattr(graph_module, "_ROW_CHUNK", request.param)
+
+
+def test_component_count_matches_networkx(row_chunk):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    graphs = [build_range(N) for N in (1, 2, 3, 8, 33)] + [abstract_graph(9, [])]
+    for _ in range(40):  # sparse ones have isolated vertices and many components
+        graphs.append(random_abstract_graph(rng, rng.randrange(1, 60),
+                                            rng.choice([0.0, 0.01, 0.03, 0.08, 0.3])))
+    graphs += [build_set(rng.sample(range(1, 3000), 120), shift) for shift in (1, 2, 3)]
+    counts = set()
+    for G in graphs:
+        H = nx.Graph()
+        H.add_nodes_from(G.vertices)
+        H.add_edges_from(G.edges())
+        counts.add(nx.number_connected_components(H))
+        assert _component_count(G) == nx.number_connected_components(H), G
+    assert len(counts) > 10
+
+
+def test_component_pass_memory_stays_below_the_adjacency():
+    # the row runs read about 1.7 MiB here; gathering the labels of every
+    # adjacency entry at once read 14.7 MiB
+    G = build_range(10**5)
+    count, peak = traced_peak(lambda: _component_count(G))
+    assert count == 1
+    assert peak < 5 * 2**20, peak / 2**20
+
+
+def test_restriction_matches_the_mapping_build(row_chunk):
+    rng = random.Random(43)
+    graphs = [build_range(N) for N in (1, 2, 8, 300)] + [abstract_graph(9, [])]
+    graphs += [build_set(rng.sample(range(1, 5000), 150), shift) for shift in (1, 2)]
+    graphs += [random_abstract_graph(rng, rng.randrange(2, 40), rng.uniform(0.05, 0.6))
+               for _ in range(6)]
+    for G in graphs:
+        subsets = [rng.sample(G.vertices, rng.randrange(G.n + 1)) for _ in range(6)]
+        subsets += [set(G.vertices) - {v} for v in rng.sample(G.vertices, min(4, G.n))]
+        for subset in subsets:
+            kept = set(subset)
+            want = DiophGraph(kept, {v: [u for u in G.neighbors(v) if u in kept] for v in kept},
+                              G.shift)
+            assert induced(G, subset) == want
+            if len(kept) == G.n - 1:
+                assert remove_vertex(G, (set(G.vertices) - kept).pop()) == want
+
+
+def test_restriction_memory_stays_near_its_result():
+    # the counted, then filled keys read about 1.2x here; keys for every
+    # entry at once read 2.25x, and G's label index, built by the old
+    # membership test, 0.7x more
+    G = build_range(2 * 10**5)
+    H, peak = traced_peak(lambda: remove_vertex(G, 1))
+    result = H.indptr.nbytes + H.indices.nbytes
+    assert H.n == G.n - 1 and H.edge_count == G.edge_count - G.degree(1)
+    assert peak <= 1.5 * result, peak / result
 
 
 def test_networkx_oracle_on_range_2000():
