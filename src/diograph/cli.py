@@ -4,7 +4,9 @@ Every capability is exposed as a subcommand with deterministic output:
 human-readable by default, a single JSON document with a schema_version
 field under --format json.  Long searches report progress on stderr
 only.  Exit status 0 means success, 1 a negative decision (not
-colorable, no path, representation unknown), 2 a usage or input error.
+colorable, no path, representation unknown), 2 a usage or input error
+or running out of memory, so that exhaustion never reads as a negative
+decision.
 
 Each subparser names its handler (`set_defaults(run=...)`), which reads
 the parsed arguments and imports the modules it runs, so `dplus`,
@@ -298,7 +300,7 @@ def _cmd_hamilton(args: argparse.Namespace) -> int:
         "kind": "path",
         "exists": res.exists,
         "method": res.method,
-        "path": list(res.path) if res.path else None,
+        "path": None if res.path is None else list(res.path),
     }
     verdict = {True: "yes", False: "no", None: "unknown"}[res.exists]
     _emit(args, doc, [f"hamiltonian path: {verdict} ({res.method})"])
@@ -463,8 +465,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

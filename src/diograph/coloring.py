@@ -4,7 +4,9 @@ The search keeps a candidate color set per vertex, as a bitmask over the
 k colors.  Deciding a vertex sweeps its color out of all neighboring
 sets; sets that shrink to a single color cascade, and an emptied set
 kills the branch.  One propagator, `_propagate`, does this for the
-initial clique and after every decision.  Case
+initial clique and after every decision.  The decided vertices are
+exactly those whose set holds one color, so no other record of them is
+kept: a vertex is swept once, when its set reaches one color.  Case
 distinctions copy the whole candidate table (an explicit stack, no trail
 undo), so the peak number of simultaneously open branches is directly
 observable.  Symmetry is broken by pre-assigning colors 0..c-1 to a
@@ -71,17 +73,15 @@ def _verify_coloring(
 
 
 def _propagate(
-    table: list[int],
-    adj: list[tuple[int, ...]],
-    decided: int,
-    queue: list[int],
-    stats: ColorStats,
-) -> tuple[bool, int]:
+    table: list[int], adj: list[tuple[int, ...]], queue: list[int], stats: ColorStats
+) -> bool:
     """Unit-propagate in place: each queued vertex's single color leaves
-    its neighbors' masks, cascading on new singletons; `decided` marks the
-    vertices swept or queued.  Returns (False, _) once a mask empties,
-    else (True, decided), whose fixpoint, decided set and deletion count
-    do not depend on queue or adjacency order."""
+    its neighbors' masks, and a deletion that leaves one color queues that
+    neighbor.  Such a mask had two colors before, masks only shrink, and
+    branching only splits masks of two or more, so a vertex is queued at
+    most once, when it reaches one color.  Returns False once a mask
+    empties, else True, whose fixpoint and deletion count do not depend on
+    queue or adjacency order."""
     while queue:
         v = queue.pop()
         mask = table[v]
@@ -91,12 +91,11 @@ def _propagate(
                 cu &= ~mask
                 stats.propagation_steps += 1
                 if not cu:
-                    return False, decided
+                    return False
                 table[u] = cu
-                if cu & (cu - 1) == 0 and not (decided >> u) & 1:
-                    decided |= 1 << u
+                if cu & (cu - 1) == 0:
                     queue.append(u)
-    return True, decided
+    return True
 
 
 def k_colorable(
@@ -132,15 +131,13 @@ def k_colorable(
         cand[index[v]] = 1 << color
 
     seeds = [i for i in range(n) if cand[i] & (cand[i] - 1) == 0]
-    decided = sum(1 << i for i in seeds)
-    ok, decided = _propagate(cand, adj, decided, seeds, stats)
-    if not ok:
+    if not _propagate(cand, adj, seeds, stats):
         return ColoringResult(False, None, stats)
 
-    stack: list[tuple[list[int], int, int]] = [(cand, decided, 0)]
+    stack: list[tuple[list[int], int]] = [(cand, 0)]
     stats.peak_open = 1
     while stack:
-        table, decided, pos = stack.pop()
+        table, pos = stack.pop()
         while pos < n and table[pos] & (table[pos] - 1) == 0:
             pos += 1
         if pos == n:
@@ -148,20 +145,13 @@ def k_colorable(
             _verify_coloring(G, assignment)
             return ColoringResult(True, assignment, stats)
         mask = table[pos]
-        bits = []
-        while mask:
-            low = mask & -mask
-            bits.append(low)
-            mask ^= low
-        stats.branches += len(bits)
-        for bit in reversed(bits):  # smallest color explored first
-            child = table.copy()
-            child[pos] = bit
-            ok, child_decided = _propagate(
-                child, adj, decided | (1 << pos), [pos], stats
-            )
-            if ok:
-                stack.append((child, child_decided, pos + 1))
+        stats.branches += mask.bit_count()
+        for color in reversed(range(k)):  # smallest color explored first
+            if mask >> color & 1:
+                child = table.copy()
+                child[pos] = 1 << color
+                if _propagate(child, adj, [pos], stats):
+                    stack.append((child, pos + 1))
         if len(stack) > stats.peak_open:
             stats.peak_open = len(stack)
     return ColoringResult(False, None, stats)

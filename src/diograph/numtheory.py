@@ -12,9 +12,10 @@ Work over every a <= N (omega, S(a) and the roots of x^2 = 1 (mod a))
 reads one smallest-prime-factor sieve sized to N, built per call, and
 keeps two tables: spf (int32) and omega (uint8), omega filled in passes
 of at most `_TABLE_PASS` entries so that temporaries stay bounded.  S(a)
-is not stored: it is 2^(omega(a) - [a = 2 (mod 4)] + [8 | a]), computed
-from omega and a mod 8 where it is read (`_root_counts`).  Only the root
-sweep adds the split a = p^e * m and S as int32 tables of its own.
+is never stored, by the root sweep neither: it is
+2^(omega(a) - [a = 2 (mod 4)] + [8 | a]), computed from omega and a mod 8
+where it is read (`_root_counts`).  The root sweep adds only the split
+a = p^e * m, as an int32 table of m.
 """
 
 from __future__ import annotations
@@ -458,7 +459,7 @@ def _root_counts(omega: np.ndarray, a: np.ndarray) -> np.ndarray:
     (the entry of a = 0 means nothing); `_count_unit_roots` for arrays."""
     import numpy as np
 
-    return 1 << (omega.astype(np.int32) - (a % 4 == 2) + (a % 8 == 0))
+    return 1 << (omega.astype(np.int32) - (a & 3 == 2) + (a & 7 == 0))
 
 
 class _PrimePowerSplit(NamedTuple):
@@ -466,27 +467,23 @@ class _PrimePowerSplit(NamedTuple):
     `_prime_power_split`."""
 
     spf: np.ndarray  # smallest prime p of a (int32)
+    omega: np.ndarray  # number of distinct primes of a (uint8)
     m: np.ndarray  # a // q, where q = p^e is the exact power of p in a (int32)
-    S: np.ndarray  # number of roots of x^2 = 1 (mod a) (int32)
 
 
 def _prime_power_split(N: int) -> _PrimePowerSplit:
-    """The split a = q * m of every a in [0, N], with S(a), from
-    `_spf_omega`.  a = 1 has m = 1 and S 1; the entries of a = 0 mean
-    nothing.  m[a] = m[a/p] when p | a/p and a/p otherwise, so m fills in
-    bounded `_passes`, beside S from `_root_counts`."""
+    """The split a = q * m of every a in [0, N], beside `_spf_omega`.
+    a = 1 has m = 1; the entries of a = 0 mean nothing.  m[a] = m[a/p]
+    when p | a/p and a/p otherwise, so m fills in bounded `_passes`."""
     import numpy as np
 
     spf, omega = _spf_omega(N)
     m = np.ones(N + 1, dtype=np.int32)
-    S = np.ones(N + 1, dtype=np.int32)
     for lo, hi in _passes(2, N + 1):
-        a = np.arange(lo, hi, dtype=np.int32)
         p = spf[lo:hi]
-        m1 = a // p
+        m1 = np.arange(lo, hi, dtype=np.int32) // p
         m[lo:hi] = np.where(spf[m1] == p, m[m1], m1)  # p^2 | a: m[a] = m[a/p]
-        S[lo:hi] = _root_counts(omega[lo:hi], a)
-    return _PrimePowerSplit(spf, m, S)
+    return _PrimePowerSplit(spf, omega, m)
 
 
 def _inverse_mod_prime_powers(m: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -528,28 +525,30 @@ def _unit_root_batches(N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     are kept for that (int32, since x < a)."""
     import numpy as np
 
-    spf, m, S = _prime_power_split(max(N, 0))
+    spf, omega, m = _prime_power_split(max(N, 0))
     half = N // 2
     start = np.zeros(half + 2, dtype=np.int64)  # a's roots: kept[start[a]:start[a + 1]]
-    np.cumsum(S[1 : half + 1], out=start[2:])
+    a = np.arange(1, half + 1, dtype=np.int32)
+    np.cumsum(_root_counts(omega[1 : half + 1], a), out=start[2:])
     kept = np.zeros(start[-1], dtype=np.int32)  # kept[0] = 0, the root of 1
     if N >= 1:
         yield np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     for lo, hi in _passes(2, N + 1):
-        ends = np.cumsum(S[lo:hi], dtype=np.int64)
+        a = np.arange(lo, hi, dtype=np.int32)
+        ends = np.cumsum(_root_counts(omega[lo:hi], a), dtype=np.int64)
         cuts = np.searchsorted(ends, np.arange(_ROOT_BATCH, ends[-1], _ROOT_BATCH), "right")
         # an a with more than _ROOT_BATCH roots repeats a cut: drop the
         # repeats, since an empty batch has no a[0]
         bounds = list(dict.fromkeys([lo, *(cuts + lo).tolist(), hi]))
         for a0, a1 in zip(bounds, bounds[1:]):
-            a, x = _lift_roots(a0, a1, spf, m, S, start, kept)
+            a, x = _lift_roots(a0, a1, spf, omega, m, start, kept)
             if a0 <= half:
                 top = min(a1, half + 1)
                 kept[start[a0] : start[top]] = x[: start[top] - start[a0]]
             yield a, x
 
 
-def _lift_roots(a0, a1, spf, m, S, start, kept) -> tuple[np.ndarray, np.ndarray]:
+def _lift_roots(a0, a1, spf, omega, m, start, kept) -> tuple[np.ndarray, np.ndarray]:
     """The roots of every a in [a0, a1), a1 <= 2*a0, lifted from the kept
     roots of each m.
 
@@ -562,8 +561,10 @@ def _lift_roots(a0, a1, spf, m, S, start, kept) -> tuple[np.ndarray, np.ndarray]
     a = np.arange(a0, a1, dtype=np.int64)
     mm = m[a0:a1].astype(np.int64)
     qq = a // mm
-    count = S[a0:a1]
-    pairs = S[mm]  # roots of m
+    count = _root_counts(omega[a0:a1], a)
+    # roots of m: m is odd (only p = 2 is even, and q holds all of it) with
+    # one prime fewer than a, so S(m) = 2^(omega(a) - 1)
+    pairs = 1 << (omega[a0:a1].astype(np.int32) - 1)
     u = _inverse_mod_prime_powers(mm, qq, spf[a0:a1].astype(np.int64))
     row = np.repeat(np.arange(a1 - a0), pairs)
     first = np.cumsum(pairs, dtype=np.int64) - pairs

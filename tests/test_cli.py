@@ -407,6 +407,15 @@ def test_hamilton_commands(capsys):
     assert code == 1 and "no" in out
 
 
+def test_hamilton_path_on_empty_vertex_set_is_the_empty_path(capsys, tmp_path):
+    wf = tmp_path / "empty.txt"
+    wf.write_text("# no vertices\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "--format", "json", "hamilton", "--path", "--witness-file", str(wf))
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["exists"], doc["method"], doc["path"]) == (True, "trivial", [])
+
+
 @pytest.mark.parametrize("mode", ["--path", "--cycle"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_hamilton_nonpositive_cap_exits_2(capsys, mode, value):
@@ -627,6 +636,36 @@ def test_missing_source_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "stats")
     assert code == 2
     assert "required" in err
+
+
+@pytest.mark.parametrize("argv", [["color", "--k", "4", "--N", "5"], ["build", "--N", "5"]])
+def test_memory_exhaustion_exits_2_not_as_a_negative_decision(capsys, monkeypatch, argv):
+    from diograph import graph
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(graph, "build_range", exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+def test_memory_exhaustion_under_an_address_space_limit_exits_2():
+    # the limit is set in the child only: each command asks for a table of
+    # several GiB and must end with one error line, not a traceback and
+    # not the exit code of a refutation
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    for argv in (["color", "--k", "4", "--N", "2000000000"], ["build", "--N", "2000000000"],
+                 ["rank", "--top", "3", "--N", "1500000000"]):
+        proc = subprocess.run([sys.executable, "-m", "diograph", *argv], capture_output=True,
+                              text=True, timeout=120, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_module_entry_point():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from diograph.coloring import (
+    ColoringResult,
     ColorStats,
     _propagate,
+    _symmetry_clique,
     _verify_coloring,
     chromatic_number,
     k_colorable,
@@ -51,28 +53,120 @@ def exhaustive_colorable(G, k):
 def propagate(g, k, decided, rng=None):
     """Run the propagator from the pre-decisions {vertex: color}.  `rng`
     shuffles the seed queue and every adjacency tuple.  Returns the
-    verdict, the candidate masks by vertex, the decided vertices and the
-    deletion count."""
+    verdict, the candidate masks by vertex, the vertices left with one
+    color (the decided ones) and the deletion count."""
     order = list(g.vertices)
     index = {v: i for i, v in enumerate(order)}
     adj = [[index[u] for u in g.adjacency[v]] for v in order]
     table = [(1 << k) - 1] * len(order)
-    mask = 0
     queue = []
     for v, c in decided.items():
         i = index[v]
         table[i] = 1 << c
-        mask |= 1 << i
         queue.append(i)
     if rng:
         for nb in adj:
             rng.shuffle(nb)
         rng.shuffle(queue)
     stats = ColorStats()
-    ok, mask = _propagate(table, [tuple(nb) for nb in adj], mask, queue, stats)
+    ok = _propagate(table, [tuple(nb) for nb in adj], queue, stats)
     masks = {v: table[index[v]] for v in order}
-    swept = {v for v in order if (mask >> index[v]) & 1}
+    swept = {v for v, m in masks.items() if m & (m - 1) == 0}
     return ok, masks, swept, stats.propagation_steps
+
+
+# The colour search as it was when it kept a `decided` bitmask beside
+# the candidate masks; the search derives that set from the masks, with
+# the same verdicts, assignments and counters.
+def reference_propagate(table, adj, decided, queue, stats):
+    while queue:
+        v = queue.pop()
+        mask = table[v]
+        for u in adj[v]:
+            cu = table[u]
+            if cu & mask:
+                cu &= ~mask
+                stats.propagation_steps += 1
+                if not cu:
+                    return False, decided
+                table[u] = cu
+                if cu & (cu - 1) == 0 and not (decided >> u) & 1:
+                    decided |= 1 << u
+                    queue.append(u)
+    return True, decided
+
+
+def reference_k_colorable(G, k, branch_order=None):
+    order = list(branch_order) if branch_order is not None else list(G.vertices)
+    stats = ColorStats()
+    n = len(order)
+    if n == 0:
+        return ColoringResult(True, {}, stats)
+    if k <= 0:
+        return ColoringResult(False, None, stats)
+    k = min(k, n)
+    index = {v: i for i, v in enumerate(order)}
+    adj = [tuple(index[u] for u in G.adjacency[v]) for v in order]
+    clique = _symmetry_clique(G, order)
+    if len(clique) > k:
+        return ColoringResult(False, None, stats)
+    full = (1 << k) - 1
+    cand = [full] * n
+    for color, v in enumerate(clique):
+        cand[index[v]] = 1 << color
+    seeds = [i for i in range(n) if cand[i] & (cand[i] - 1) == 0]
+    decided = sum(1 << i for i in seeds)
+    ok, decided = reference_propagate(cand, adj, decided, seeds, stats)
+    if not ok:
+        return ColoringResult(False, None, stats)
+    stack = [(cand, decided, 0)]
+    stats.peak_open = 1
+    while stack:
+        table, decided, pos = stack.pop()
+        while pos < n and table[pos] & (table[pos] - 1) == 0:
+            pos += 1
+        if pos == n:
+            assignment = {order[i]: table[i].bit_length() - 1 for i in range(n)}
+            _verify_coloring(G, assignment)
+            return ColoringResult(True, assignment, stats)
+        mask = table[pos]
+        bits = []
+        while mask:
+            low = mask & -mask
+            bits.append(low)
+            mask ^= low
+        stats.branches += len(bits)
+        for bit in reversed(bits):
+            child = table.copy()
+            child[pos] = bit
+            ok, child_decided = reference_propagate(
+                child, adj, decided | (1 << pos), [pos], stats
+            )
+            if ok:
+                stack.append((child, child_decided, pos + 1))
+        if len(stack) > stats.peak_open:
+            stats.peak_open = len(stack)
+    return ColoringResult(False, None, stats)
+
+
+def witness_orders():
+    """{name: order}: the certified order of the 80-vertex witness, its
+    `random.Random(b).shuffle` for b = 1, 2, 3, and the certified order
+    without 1365."""
+    orders = {"certified": list(FIVE_CHROMATIC_WITNESS)}
+    for b in (1, 2, 3):
+        order = list(FIVE_CHROMATIC_WITNESS)
+        random.Random(b).shuffle(order)
+        orders[f"shuffle{b}"] = order
+    orders["minus1365"] = [v for v in FIVE_CHROMATIC_WITNESS if v != 1365]
+    return orders
+
+
+def assert_matches_reference(G, k, order=None):
+    got = k_colorable(G, k, order)
+    want = reference_k_colorable(G, k, order)
+    assert (got.colorable, got.assignment, got.stats) == (want.colorable, want.assignment, want.stats)
+    return got
 
 
 def test_sweep_forces_last_clique_color():
@@ -245,3 +339,43 @@ def test_stats_counters_populated():
     branched = k_colorable(cycle_graph(5), 3)
     assert branched.stats.branches >= 2
     assert branched.stats.peak_open >= 1
+
+
+# (branches, peak_open, propagation_steps) of the 4-colour search
+WITNESS_STATS = {
+    "certified": (1662, 15, 42275),
+    "shuffle1": (46549, 26, 967912),
+    "shuffle2": (40025, 20, 1062619),
+    "shuffle3": (75902, 20, 1817682),
+    "minus1365": (793, 11, 20383),
+}
+
+
+@pytest.mark.parametrize("name", list(WITNESS_STATS))
+def test_witness_search_matches_reference_and_pinned_stats(name):
+    order = witness_orders()[name]
+    res = assert_matches_reference(build_set(order), 4, order)
+    assert res.colorable == (name == "minus1365")
+    s = res.stats
+    assert (s.branches, s.peak_open, s.propagation_steps) == WITNESS_STATS[name]
+
+
+def test_random_graphs_match_reference():
+    # drawn mostly from the witness, so that about half the 2-colour and
+    # some 3-colour searches refute
+    rng = random.Random(20261020)
+    pool = sorted(set(FIVE_CHROMATIC_WITNESS) | set(range(1, 100)))
+    for _ in range(300):
+        values = rng.sample(pool, rng.randint(1, 48))  # a shuffled order
+        g = build_set(values)
+        for k in range(1, 5):
+            assert_matches_reference(g, k, values)
+
+
+def test_cycles_and_k5_match_reference():
+    vs = tuple(range(1, 6))
+    k5 = DiophGraph(vs, {v: tuple(u for u in vs if u != v) for v in vs}, shift=10**9)
+    for k in range(1, 6):
+        assert_matches_reference(k5, k)
+        for n in (3, 5, 7, 9):
+            assert_matches_reference(cycle_graph(n), k)

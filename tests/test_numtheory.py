@@ -163,11 +163,11 @@ def test_prime_power_split_matches_factorize():
     N = 10**4
     spf, omega = numtheory._spf_omega(N)
     split = numtheory._prime_power_split(N)
-    assert spf.dtype == split.spf.dtype == split.m.dtype == split.S.dtype == np.int32
-    assert omega.dtype == np.uint8
+    assert spf.dtype == split.spf.dtype == split.m.dtype == np.int32
+    assert omega.dtype == split.omega.dtype == np.uint8
     S = numtheory._root_counts(omega, np.arange(N + 1))
     assert np.array_equal(split.spf, spf)
-    assert np.array_equal(split.S[1:], S[1:])
+    assert np.array_equal(split.omega, omega)
     for a in range(2, N + 1):
         f = factorize(a)
         p = min(f.factors)
@@ -175,7 +175,7 @@ def test_prime_power_split_matches_factorize():
         assert omega[a] == f.omega
         assert S[a] == count_unit_roots(a)
         assert split.m[a] == a // p ** f.factors[p]
-    assert (omega[1], S[1], split.m[1], split.S[1]) == (0, 1, 1, 1)
+    assert (omega[1], S[1], split.m[1]) == (0, 1, 1)
 
 
 def test_prime_power_split_rejects_n_beyond_int32():
