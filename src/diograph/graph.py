@@ -84,9 +84,16 @@ class DiophGraph:
 
     `DiophGraph(vertices, adjacency, shift)` builds a graph from any
     mapping of each vertex to its neighbors, which must be symmetric and
-    loop-free."""
+    loop-free.
 
-    __slots__ = ("vertices", "shift", "indptr", "indices", "_index")
+    `_relation` is true when the edges are known to be exactly the pairs
+    a, b with a*b + shift a square: build_range, build_set and the
+    document loaders set it (through `_rebuild`), and a restriction
+    (induced, remove_vertex, prune's result) takes its parent's.  The
+    public constructor leaves it false, whatever the adjacency holds.
+    `_clique_number` tests pairs by the relation when it is set."""
+
+    __slots__ = ("vertices", "shift", "indptr", "indices", "_index", "_relation")
     __hash__ = None  # equal graphs compare equal; they are not hashed
 
     def __init__(self, vertices, adjacency, shift: int = 1):
@@ -104,9 +111,9 @@ class DiophGraph:
         symmetric = np.array_equal(keys, np.sort(cols * n + rows))
         if np.any(rows == cols) or np.any(keys[1:] == keys[:-1]) or not symmetric:
             raise ValueError("adjacency must be symmetric, loop-free and list each neighbor once")
-        self._store(vs, keys, shift)
+        self._store(vs, keys, shift, relation=False)
 
-    def _store(self, vs: tuple, keys: np.ndarray, shift: int) -> None:
+    def _store(self, vs: tuple, keys: np.ndarray, shift: int, relation: bool) -> None:
         """Hold the adjacency over the sorted labels `vs` whose entries are
         the sorted keys row * n + column.  `keys` becomes `indices` in
         place, so beside it only the n + 1 row pointers are allocated."""
@@ -122,21 +129,22 @@ class DiophGraph:
         self.vertices = vs
         self.shift = shift
         self._index = None  # label -> position, built on the first lookup
+        self._relation = relation
 
     @classmethod
-    def _from_keys(cls, vs: tuple, keys: np.ndarray, shift: int):
+    def _from_keys(cls, vs: tuple, keys: np.ndarray, shift: int, relation: bool):
         """Graph on the sorted labels `vs` from sorted keys; see `_store`."""
         G = cls.__new__(cls)
-        G._store(vs, keys, shift)
+        G._store(vs, keys, shift, relation)
         return G
 
     @classmethod
     def _from_pairs(cls, vs: tuple, m: int, pairs, shift: int):
-        """Graph on the sorted labels `vs` with m edges, given as chunks
-        (lo, hi) of position arrays whose k-th edge joins lo[k] and hi[k]:
-        m distinct pairs of distinct positions in all.  Each chunk is
-        written in both orientations straight into one array of 2m keys
-        row * n + column, which is sorted in place (see `_from_keys`)."""
+        """The graph of the shifted-square relation on the sorted labels
+        `vs`, from its m edges, given as chunks (lo, hi) of position arrays
+        whose k-th edge joins lo[k] and hi[k].  Each chunk is written in
+        both orientations straight into one array of 2m keys row * n +
+        column, which is sorted in place (see `_from_keys`)."""
         n = len(vs)
         keys = np.empty(2 * m, dtype=np.int64)
         at = 0
@@ -148,7 +156,7 @@ class DiophGraph:
             keys[m + at : m + end] += lo
             at = end
         keys.sort()
-        return cls._from_keys(vs, keys, shift)
+        return cls._from_keys(vs, keys, shift, relation=True)
 
     @property
     def n(self) -> int:
@@ -430,11 +438,14 @@ _CLIQUE_CHUNK = 1 << 16
 _ROW_CHUNK = 1 << 16
 
 
-def _forward_keys(G: DiophGraph, rank: np.ndarray) -> np.ndarray:
+def _forward_keys(G: DiophGraph, order: np.ndarray) -> np.ndarray:
     """Sorted keys rank[u] * n + rank[v] of every edge uv oriented towards
-    its higher rank, built over chunks of rows.  The keys of one source
-    form its forward list, ascending by rank."""
+    its higher rank, built over chunks of rows, where the vertex at
+    position order[r] has rank r.  The keys of one source form its forward
+    list, ascending by rank."""
     n = G.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
     keys = np.empty(G.edge_count, dtype=np.int64)
     filled = 0
     for rows, cols in _row_runs(G, _CLIQUE_CHUNK):
@@ -478,6 +489,36 @@ def _grow_cliques(adj: np.ndarray, best: int) -> tuple[int, tuple | None]:
             return size, (int(rows[0]), members[0])
 
 
+def _pair_test(G: DiophGraph, order: np.ndarray, keys: np.ndarray):
+    """How `_clique_number` tells which forward pairs are edges: a function
+    of an (m, d) matrix of vertex ranks and the list positions lo < hi
+    that returns the (m, len(lo)) bool matrix of whether the ranks at lo
+    and hi are adjacent.  A graph that holds the relation (`_relation`)
+    and whose largest product plus shift is below 2**62 gathers each
+    pair's labels from one int64 array of the labels by rank (the vertex
+    at position order[r] has rank r) and tests a*b + shift with
+    `_isqrt_array`; any other graph looks the rank key up in the sorted
+    forward `keys`."""
+    n, shift, vs = G.n, G.shift, G.vertices
+    if G._relation and n >= 2 and vs[-1] * vs[-2] + shift < 1 << 62:
+        ranked = np.fromiter(vs, dtype=np.int64, count=n)[order]
+
+        def adjacent(fwd, lo, hi):
+            ends = ranked[fwd]
+            prod = ends[:, lo]  # a copy: lo is an index array
+            prod *= ends[:, hi]
+            prod += shift
+            root = _isqrt_array(prod)
+            return root * root == prod
+
+    else:
+
+        def adjacent(fwd, lo, hi):
+            return _lookup(keys, fwd[:, lo] * n + fwd[:, hi])[1]
+
+    return adjacent
+
+
 def _clique_number(G: DiophGraph) -> int:
     """Largest clique size, searched exhaustively up to _CLIQUE_CAP (5).
 
@@ -488,22 +529,28 @@ def _clique_number(G: DiophGraph) -> int:
     stay short (at most 25 entries on {1..10^5}).  The oriented edges are
     one sorted array of keys (`_forward_keys`).  The sources of each
     forward degree d go in chunks of about _CLIQUE_CHUNK candidate pairs:
-    their forward lists form an (m, d) matrix, `np.searchsorted` on the
-    keys finds which pairs i < j of each row are adjacent, and cliques
-    grow from there (`_grow_cliques`).  The chunks bound the memory to a
-    few arrays of _CLIQUE_CHUNK words beside the keys.
+    their forward lists form an (m, d) matrix, `_pair_test` finds which
+    pairs i < j of each row are adjacent, and cliques grow from there
+    (`_grow_cliques`).  On a graph whose edges are the relation (made by
+    the builders, the loaders or a restriction of theirs) the pairs are
+    tested by a*b + shift square while the products fit int64; on a
+    graph of the public constructor, or with larger labels, they are
+    looked up in the keys.  The chunks bound the memory to a few arrays
+    of _CLIQUE_CHUNK words beside the keys and one int64 label per
+    vertex.
 
     At shift 1 a clique of size 5 contradicts the nonexistence of
     Diophantine quintuples, so finding one raises GraphDefectError naming
-    its labels; at other shifts the search returns 5.
+    its labels; at other shifts the search returns 5.  On a graph that
+    holds the relation this checks the quintuple theorem itself; on the
+    public constructor's graphs it checks the stored edges.
     """
     n = G.n
     if n == 0:
         return 0
     order = np.argsort(G._degrees(), kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-    keys = _forward_keys(G, rank)
+    keys = _forward_keys(G, order)
+    adjacent = _pair_test(G, order, keys)
     fptr = _row_pointers(keys, n)
     fdeg = np.diff(fptr)
     best = 1
@@ -518,9 +565,8 @@ def _clique_number(G: DiophGraph) -> int:
         for c0 in range(0, len(sources), step):
             src = sources[c0 : c0 + step]
             fwd = keys[fptr[src][:, None] + np.arange(d)] % n
-            pairs = fwd[:, lo] * n + fwd[:, hi]
             adj = np.zeros((len(src), d, d), dtype=bool)
-            adj[:, lo, hi] = _lookup(keys, pairs)[1]
+            adj[:, lo, hi] = adjacent(fwd, lo, hi)
             best, found = _grow_cliques(adj, best)
             if found is not None:
                 if G.shift == 1:
@@ -646,7 +692,7 @@ def _restrict(G: DiophGraph, keep: np.ndarray) -> DiophGraph:
         chunk += renumber[cols[mask]]
         keys[at : at + len(chunk)] = chunk
         at += len(chunk)
-    return DiophGraph._from_keys(vs, keys, G.shift)
+    return DiophGraph._from_keys(vs, keys, G.shift, relation=G._relation)
 
 
 def remove_vertex(G: DiophGraph, v: int) -> DiophGraph:

@@ -640,6 +640,13 @@ def test_five_clique_raises_defect():
     fake = DiophGraph(vs, adj, 1)
     with pytest.raises(GraphDefectError, match="5-clique"):
         stats(fake)
+    # a restriction of it still holds only its stored edges: on the labels
+    # 1..5 the relation has no 5-clique.  stats would stop at the edge
+    # bound first, so the clique search is called directly.
+    restricted = remove_vertex(fake, 6)
+    assert not restricted._relation
+    with pytest.raises(GraphDefectError, match="5-clique"):
+        _clique_number(restricted)
 
 
 def test_edge_bound_defect_fires():
@@ -801,8 +808,86 @@ def test_five_cliques_at_shift_1_name_adjacent_labels(clique_chunk):
         assert _clique_number(abstract_graph(n, sorted(edges), shift=2)) == 5
 
 
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts the calls of the clique pass's key lookup."""
+    calls = []
+    real = graph_module._lookup
+    monkeypatch.setattr(graph_module, "_lookup", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def relation_graphs(tmp_path):
+    """Graphs whose edges are the relation a*b + shift square: builder
+    graphs, restrictions of them and loaded documents."""
+    rng = random.Random(34)
+    graphs = [build_range(N) for N in (1, 2, 3, 8, 33, 300, 2000)]
+    graphs += [build_set(rng.sample(range(1, 5000), 150), shift) for shift in (1, 2, 3, 8)]
+    for G in graphs[3:]:
+        graphs.append(induced(G, rng.sample(G.vertices, G.n // 2)))
+        graphs.append(remove_vertex(G, G.vertices[int(np.argmax(G._degrees()))]))
+    for i, G in enumerate((build_range(2000), build_set(rng.sample(range(1, 5000), 150), 3))):
+        path = tmp_path / f"g{i}.json"
+        save_graph_file(G, path)
+        graphs += [load_graph_file(path), graph_from_doc(json.loads(path.read_text()))]
+    return graphs
+
+
+def test_relation_clique_search_matches_references_and_lookup(
+    clique_chunk, monkeypatch, lookups, tmp_path
+):
+    sizes = []
+    for G in relation_graphs(tmp_path):
+        assert G._relation, G
+        want = clique_number_by_label(G)
+        assert clique_number_oriented(G) == want, G
+        lookups.clear()
+        assert _clique_number(G) == want, G
+        assert not lookups, G  # every pair was tested by the relation
+        with monkeypatch.context() as m:
+            m.setattr(G, "_relation", False)
+            assert _clique_number(G) == want, G
+        assert lookups or want < 3, G  # a graph with a triangle has pairs to look up
+        sizes.append(want)
+    assert set(sizes) == {1, 2, 3, 4}
+
+
+def test_public_constructor_graphs_and_restrictions_use_stored_edges(clique_chunk, lookups):
+    rng = random.Random(35)
+    for _ in range(6):
+        G = random_abstract_graph(rng, rng.randrange(10, 30), rng.uniform(0.5, 0.9), shift=1)
+        for H in (G, induced(G, G.vertices[1:]), remove_vertex(G, G.vertices[0])):
+            assert not H._relation
+            lookups.clear()
+            want = clique_number_by_label(H)
+            if want == 5:
+                with pytest.raises(GraphDefectError, match="5-clique"):
+                    _clique_number(H)
+            else:
+                assert _clique_number(H) == want
+            assert lookups
+
+
+def test_clique_search_looks_up_pairs_beyond_int64_products(clique_chunk, lookups):
+    # 46341^2 - 1 and 65537^2 - 1 lie just above 2**31 and 2**32, so the
+    # largest product passes 2**62 and the relation is not tested on int64
+    a, b = 46341**2 - 1, 65537**2 - 1
+    G = build_set([1, 3, 8, 120, a, a + 2, b, b + 2])
+    assert G._relation and b * (b + 2) + 1 >= 1 << 62
+    lookups.clear()
+    assert _clique_number(G) == clique_number_by_label(G) == clique_number_oriented(G) == 4
+    assert lookups
+
+
+def test_clique_number_of_empty_and_single_vertex_graphs(clique_chunk):
+    empty = (build_set([]), build_set([], 5), DiophGraph((), {}, 3), remove_vertex(build_range(1), 1))
+    single = (build_range(1), build_set([7], 2), abstract_graph(1, []), induced(build_range(9), [4]))
+    assert [_clique_number(G) for G in empty] == [0] * len(empty)
+    assert [_clique_number(G) for G in single] == [1] * len(single)
+
+
 def test_clique_search_memory_stays_near_the_adjacency():
-    # the chunked pass reads 1.07x the indices here; without its row chunks
+    # the chunked pass reads 1.10x the indices here; without its row chunks
     # it reads 3.8x, without its pair chunks 1.8x
     G = build_range(10**5)
     tracemalloc.start()
