@@ -22,7 +22,7 @@ from math import isfinite, isqrt, log
 
 import numpy as np
 
-from .graph import DiophGraph, GraphStats, _check_range_size, _is_range, edge_test, induced, stats
+from .graph import DiophGraph, GraphStats, _check_range_size, _is_range, _restrict, edge_test, stats
 from .numtheory import _passes, _root_counts, _spf_omega, count_unit_roots
 
 __all__ = [
@@ -48,6 +48,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PruneStep:
+    """Removing `vertex` at `degree` takes the density e/n from before to after."""
+
     vertex: int
     degree: int
     density_before: Fraction
@@ -56,6 +58,8 @@ class PruneStep:
 
 @dataclass
 class PruneTrace:
+    """The removals in order; `initial` and `final` are full `stats`."""
+
     steps: tuple[PruneStep, ...]
     initial: GraphStats
     final: GraphStats
@@ -64,41 +68,36 @@ class PruneTrace:
 def prune_low_degree(G: DiophGraph) -> tuple[DiophGraph, PruneTrace]:
     """Repeatedly remove a minimum-degree vertex while its degree is
     strictly below the edge density e/n (ties broken by smallest label).
-    Every removal strictly increases the density.
+    Each removal raises the density: d*n < e gives (e - d)/(n - 1) > e/n.
 
-    One smallest-last peel (Matula & Beck 1983) over a heap keyed by
-    (degree, label) with lazy deletion.  Degrees only fall, so a vertex's
-    newest entry holds its current degree and pops before its older ones;
-    the vertex is then removed or the peel stops, and every later entry
-    for it is stale."""
+    One smallest-last peel (Matula & Beck 1983) over CSR positions, with heap
+    keys degree * size + position (labels are sorted: a tie by position is a
+    tie by label).  Degrees only fall, so a vertex's newest key pops first,
+    and its older ones after its removal.  The result keeps G's `_relation`."""
     # imported here: loading the _heapq extension at module import would
     # add to every other command's peak RSS
     import heapq
 
     initial = stats(G)
-    nbrs = {v: set(G.adjacency[v]) for v in G.vertices}
-    heap = [(len(nb), v) for v, nb in nbrs.items()]
+    size = n = G.n
+    e, indptr, degree = G.edge_count, G.indptr.tolist(), G._degrees().tolist()
+    heap = [d * size + i for i, d in enumerate(degree)]
     heapq.heapify(heap)
-    n, e = G.n, G.edge_count
-    steps: list[PruneStep] = []
+    keep, steps = [True] * size, []
     while heap:
-        d, v = heapq.heappop(heap)
-        if v not in nbrs:
+        d, i = divmod(heapq.heappop(heap), size)
+        if not keep[i]:
             continue
         if d * n >= e:  # degree >= density: removal no longer helps
             break
-        before = Fraction(e, n)
-        after = Fraction(e - d, n - 1)
-        if after <= before:
-            raise RuntimeError("pruning failed to increase density")
-        steps.append(PruneStep(v, d, before, after))
-        for u in nbrs.pop(v):
-            nb = nbrs[u]
-            nb.discard(v)
-            heapq.heappush(heap, (len(nb), u))
-        n -= 1
-        e -= d
-    cur = induced(G, nbrs)
+        steps.append(PruneStep(G.vertices[i], d, Fraction(e, n), Fraction(e - d, n - 1)))
+        keep[i] = False
+        for j in G.indices[indptr[i] : indptr[i + 1]].tolist():
+            if keep[j]:
+                degree[j] -= 1
+                heapq.heappush(heap, degree[j] * size + j)
+        n, e = n - 1, e - d
+    cur = _restrict(G, np.array(keep, dtype=bool))
     return cur, PruneTrace(tuple(steps), initial, stats(cur))
 
 

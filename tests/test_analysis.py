@@ -4,6 +4,7 @@ from math import log
 
 import pytest
 
+from diograph import graph
 from diograph.analysis import (
     PruneStep,
     PruneTrace,
@@ -89,21 +90,46 @@ def test_prune_matches_rebuild_oracle_on_range_graphs(N):
 
 
 def test_prune_matches_rebuild_oracle_on_random_graphs():
-    removed_degrees = set()
+    graphs = [
+        # labels past int64, among them a Diophantine quadruple
+        build_set([1, 3, 8, 120, 2**80, 2**80 + 1, 46341**2 - 1, 65537**2 - 1, 10**30]),
+        # a triangle with a pendant: the least degree equals e/n, so none goes
+        abstract_graph(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+    ]
     for seed in range(20):
         rng = random.Random(seed)
         if seed % 2:
             # Diophantine graphs on sparse sets: many isolated vertices
-            g = build_set(rng.sample(range(1, 400), rng.randrange(20, 80)))
+            graphs.append(build_set(rng.sample(range(1, 400), rng.randrange(20, 80))))
         else:
             # random abstract graphs with few distinct degrees: many ties
             n, p = rng.randrange(10, 60), rng.choice((0.05, 0.1, 0.3))
             pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
             g = abstract_graph(n, [ab for ab in pairs if rng.random() < p])
+            # the same graph on shuffled labels 7k: positions are not labels,
+            # and ties by label fall in another order
+            label = dict(zip(g.vertices, rng.sample(range(7, 7 * n + 1, 7), n)))
+            adjacency = {label[v]: [label[u] for u in g.neighbors(v)] for v in g.vertices}
+            graphs += [g, DiophGraph(label.values(), adjacency, g.shift)]
+    removed_degrees = set()
+    for at, g in enumerate(graphs):
         pruned, trace = prune_low_degree(g)
-        assert (pruned, trace) == prune_by_rebuilding(g), seed
+        assert (pruned, trace) == prune_by_rebuilding(g), at
+        assert pruned._relation == g._relation, at
         removed_degrees |= {step.degree for step in trace.steps}
     assert {0, 1, 2} <= removed_degrees
+    assert graphs[0]._relation and not graphs[1]._relation
+    assert prune_low_degree(graphs[1])[1].steps == ()
+
+
+def test_prune_reads_only_the_csr_arrays(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("prune must read the CSR arrays, not labels")
+
+    expected = prune_by_rebuilding(build_range(2000))
+    monkeypatch.setattr(DiophGraph, "neighbors", refuse)
+    monkeypatch.setattr(graph, "induced", refuse)
+    assert prune_low_degree(build_range(2000)) == expected
 
 
 def test_heuristic_score_values():
