@@ -19,10 +19,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, isqrt, log
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DiophGraph, GraphStats, _check_range_size, _is_range, _restrict, edge_test, stats
+from .graph import DiophGraph, _check_range_size, _is_range, _restrict, edge_test
 from .numtheory import _passes, _root_counts, _spf_omega, count_unit_roots
 
 __all__ = [
@@ -46,23 +47,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PruneStep:
-    """Removing `vertex` at `degree` takes the density e/n from before to after."""
+class PruneStep(NamedTuple):
+    """One removal: the vertex and its degree when it was removed."""
 
     vertex: int
     degree: int
-    density_before: Fraction
-    density_after: Fraction
 
 
-@dataclass
-class PruneTrace:
-    """The removals in order; `initial` and `final` are full `stats`."""
+class PruneTrace(NamedTuple):
+    """The removals in order; densities e/n are worked out where they are printed."""
 
     steps: tuple[PruneStep, ...]
-    initial: GraphStats
-    final: GraphStats
 
 
 def prune_low_degree(G: DiophGraph) -> tuple[DiophGraph, PruneTrace]:
@@ -78,7 +73,6 @@ def prune_low_degree(G: DiophGraph) -> tuple[DiophGraph, PruneTrace]:
     # add to every other command's peak RSS
     import heapq
 
-    initial = stats(G)
     size = n = G.n
     e, indptr, degree = G.edge_count, G.indptr.tolist(), G._degrees().tolist()
     heap = [d * size + i for i, d in enumerate(degree)]
@@ -90,15 +84,14 @@ def prune_low_degree(G: DiophGraph) -> tuple[DiophGraph, PruneTrace]:
             continue
         if d * n >= e:  # degree >= density: removal no longer helps
             break
-        steps.append(PruneStep(G.vertices[i], d, Fraction(e, n), Fraction(e - d, n - 1)))
+        steps.append(PruneStep(G.vertices[i], d))
         keep[i] = False
         for j in G.indices[indptr[i] : indptr[i + 1]].tolist():
             if keep[j]:
                 degree[j] -= 1
                 heapq.heappush(heap, degree[j] * size + j)
         n, e = n - 1, e - d
-    cur = _restrict(G, np.array(keep, dtype=bool))
-    return cur, PruneTrace(tuple(steps), initial, stats(cur))
+    return _restrict(G, np.array(keep, dtype=bool)), PruneTrace(tuple(steps))
 
 
 # ---------------------------------------------------------------------------

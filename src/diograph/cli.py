@@ -2,11 +2,11 @@
 
 Every capability is exposed as a subcommand with deterministic output:
 human-readable by default, a single JSON document with a schema_version
-field under --format json.  Long searches report progress on stderr
-only.  Exit status 0 means success, 1 a negative decision (not
-colorable, no path, representation unknown), 2 a usage or input error
-or running out of memory, so that exhaustion never reads as a negative
-decision.
+field under --format json, its long lists (`build` edges, `prune` steps)
+written as they are encoded.  Long searches report progress on stderr
+only.  Exit status 0 means success, 1 a negative decision (not colorable,
+no path, representation unknown), 2 a usage or input error or running
+out of memory, so that exhaustion never reads as a negative decision.
 
 Each subparser names its handler (`set_defaults(run=...)`), which reads
 the parsed arguments and imports the modules it runs, so `dplus`,
@@ -22,6 +22,8 @@ import time
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .graph import DiophGraph
 
 SCHEMA_VERSION = 1
@@ -29,6 +31,8 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+
+_STEP_CHUNK = 1 << 10  # step records per `json.dumps` call of `prune`
 
 
 def _positive(name: str, value: int) -> int:
@@ -49,11 +53,20 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
-def _emit(args: argparse.Namespace, doc: dict, human_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, doc: dict, human_lines: list[str],
+          **lists: Iterable[str]) -> None:
+    """Print `doc` under --format json, else the human lines.  Each keyword
+    adds a list field, given as the pieces of its `json.dumps(indent=2)` text."""
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **doc}
+        doc.update(dict.fromkeys(lists, []))
         # NaN and Infinity are not JSON; refusing them is a ValueError (exit 2)
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        for field, pieces in sorted(lists.items()):
+            head, _, text = text.partition(f'"{field}": []')
+            sys.stdout.write(f'{head}"{field}": ')
+            sys.stdout.writelines(pieces)
+        print(text)
     else:
         for line in human_lines:
             print(line)
@@ -94,26 +107,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if out:
         _emit(args, {"n": G.n, "e": G.edge_count, "shift": G.shift, "out": out},
               [f"wrote {out}: n={G.n} e={G.edge_count} shift={G.shift}"])
-    elif args.format == "json":
-        _emit_graph(args, G)
     else:
-        print(f"n={G.n} e={G.edge_count} shift={G.shift}")
+        # G's document: its schema_version, 2, overrides the CLI's
+        _emit(args, graph._doc_head(G), [f"n={G.n} e={G.edge_count} shift={G.shift}"],
+              edges=map(bytes.decode, graph._json_edges(G, indented=True)))
     return EXIT_OK
-
-
-def _emit_graph(args: argparse.Namespace, G: DiophGraph) -> None:
-    """Print what _emit prints for the document graph_to_doc(G) under
-    --format json (its schema_version, 2, overrides the CLI's), with the
-    edges streamed from the adjacency arrays instead of built as pairs."""
-    from . import graph
-
-    doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand,
-           **graph._doc_head(G), "edges": []}
-    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition('"edges": []')
-    sys.stdout.write(head + '"edges": ')
-    for piece in graph._json_edges(G, indented=True):
-        sys.stdout.write(piece.decode("ascii"))
-    sys.stdout.write(tail + "\n")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -257,31 +255,39 @@ def _cmd_dplus(args: argparse.Namespace) -> int:
 
 
 def _cmd_prune(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     from . import analysis, graph
 
     G, _ = _load_source_graph(args)
     pruned, trace = analysis.prune_low_degree(G)
     if args.out:
         graph.save_graph_file(pruned, args.out)
-    doc = {
-        "initial": {"n": trace.initial.n, "e": trace.initial.e},
-        "final": {"n": trace.final.n, "e": trace.final.e},
-        "steps": [
-            {
-                "vertex": s.vertex,
-                "degree": s.degree,
-                "density_before": [s.density_before.numerator, s.density_before.denominator],
-                "density_after": [s.density_after.numerator, s.density_after.denominator],
-            }
-            for s in trace.steps
-        ],
-    }
-    _emit(args, doc, [
+    (n0, e0), (n1, e1) = (G.n, G.edge_count), (pruned.n, pruned.edge_count)
+
+    def step_pieces(n, e):  # each record with the densities e/n before and after it
+        for c0 in range(0, len(trace.steps), _STEP_CHUNK):
+            records = []
+            for vertex, d in trace.steps[c0 : c0 + _STEP_CHUNK]:
+                before, after = Fraction(e, n), Fraction(e - d, n - 1)
+                records.append({
+                    "vertex": vertex,
+                    "degree": d,
+                    "density_before": [before.numerator, before.denominator],
+                    "density_after": [after.numerator, after.denominator],
+                })
+                n, e = n - 1, e - d
+            # a list one level down: drop the brackets, indent two more spaces
+            text = json.dumps(records, indent=2, sort_keys=True).replace("\n", "\n  ")
+            yield ("," if c0 else "[") + text[1:-4]
+        yield "\n  ]" if trace.steps else "[]"
+
+    _emit(args, {"initial": {"n": n0, "e": e0}, "final": {"n": n1, "e": e1}}, [
         f"removed {len(trace.steps)} vertices",
-        f"n: {trace.initial.n} -> {trace.final.n}",
-        f"e: {trace.initial.e} -> {trace.final.e}",
-        f"density: {trace.initial.density} -> {trace.final.density}",
-    ])
+        f"n: {n0} -> {n1}",
+        f"e: {e0} -> {e1}",
+        f"density: {Fraction(e0, n0) if n0 else 0} -> {Fraction(e1, n1) if n1 else 0}",
+    ], steps=step_pieces(n0, e0))
     return EXIT_OK
 
 

@@ -10,8 +10,8 @@ kept: a vertex is swept once, when its set reaches one color.  Case
 distinctions copy the whole candidate table (an explicit stack, no trail
 undo), so the peak number of simultaneously open branches is directly
 observable.  Symmetry is broken by pre-assigning colors 0..c-1 to a
-maximal clique: the quadruple {1, 3, 8, 120} when present at shift 1,
-otherwise a clique collected greedily along the branch order.
+maximal clique: the quadruple {1, 3, 8, 120} when it is a clique at
+shift 1, otherwise a clique collected greedily along the branch order.
 
 A "colorable" verdict always carries an assignment that has been checked
 against every edge before being returned.
@@ -53,7 +53,7 @@ class ColoringResult:
 
 
 def _symmetry_clique(G: DiophGraph, order: list[int]) -> list[int]:
-    if G.shift == 1 and all(v in G.adjacency for v in K4_WITNESS):
+    if G.shift == 1 and all(G.has_edge(a, b) for a in K4_WITNESS for b in K4_WITNESS if a < b):
         return list(K4_WITNESS)
     clique: list[int] = []
     for v in order:

@@ -3,6 +3,7 @@ with its measured numbers.  Tolerances and bounds are pinned here."""
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 from math import log, pi
 
@@ -219,14 +220,26 @@ def test_criterion_12_shift2_coloring():
           f"graph over {{1..10^4}} ({g.edge_count} edges checked)")
 
 
+def assert_density_rises(G, pruned, steps):
+    """Each pruning step removes a vertex of degree d < e/n and raises the
+    density to (e - d)/(n - 1), from the running (n, e) of G; the pruned
+    graph ends denser than G."""
+    n, e = G.n, G.edge_count
+    for step in steps:
+        assert step.degree < Fraction(e, n) < Fraction(e - step.degree, n - 1)
+        n, e = n - 1, e - step.degree
+    assert (n, e) == (pruned.n, pruned.edge_count)
+    assert Fraction(e, n) > Fraction(G.edge_count, G.n)
+
+
 def test_criterion_13_density():
     g = build_range(10**5)
     ratio = g.edge_count / ((6 / pi**2) * 10**5 * log(10**5))
     assert 0.75 <= ratio <= 1.25
-    pruned, trace = prune_low_degree(build_range(1000))
+    small = build_range(1000)
+    pruned, trace = prune_low_degree(small)
     assert len(trace.steps) > 0
-    for step in trace.steps:
-        assert step.density_after > step.density_before
+    assert_density_rises(small, pruned, trace.steps)
     print(f"PASS criterion 13: Dujella ratio at N=10^5 is {ratio:.4f} in "
           f"[0.75, 1.25]; pruning strictly increases density at each of "
           f"{len(trace.steps)} steps on D(V_1000)")
@@ -239,7 +252,8 @@ def test_criterion_14_asymptotic_bound_substitutes(graph_10k):
     # (criterion 13), and the strict-increase pruning invariant re-checked
     # here.
     assert degree_bound_check(graph_10k).passed
-    _, trace = prune_low_degree(build_range(1000))
-    assert all(s.density_after > s.density_before for s in trace.steps)
+    g = build_range(1000)
+    pruned, trace = prune_low_degree(g)
+    assert_density_rises(g, pruned, trace.steps)
     print("PASS criterion 14: asymptotic edge bound substituted by the "
           "degree-bound, density-band and prune-trace checks")

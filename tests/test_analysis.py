@@ -19,7 +19,7 @@ from diograph.analysis import (
     omega_distribution,
     prune_low_degree,
 )
-from diograph.graph import DiophGraph, build_range, build_set, edge_test, remove_vertex, stats
+from diograph.graph import DiophGraph, build_range, build_set, edge_test, remove_vertex
 from diograph.numtheory import factorize
 from diograph.witnesses import C6_COMPLEMENT_WITNESS, FIVE_CHROMATIC_WITNESS
 
@@ -51,17 +51,18 @@ def test_prune_strict_density_increase_on_range_graph():
     g = build_range(1000)
     pruned, trace = prune_low_degree(g)
     assert len(trace.steps) > 0
+    # the densities e/n before and after each removal, from the running (n, e)
+    n, e = g.n, g.edge_count
     for step in trace.steps:
-        assert step.density_after > step.density_before
-        assert Fraction(step.degree) < step.density_before
-    assert trace.final.density > trace.initial.density
-    assert pruned.n == trace.final.n
+        assert Fraction(step.degree) < Fraction(e, n) < Fraction(e - step.degree, n - 1)
+        n, e = n - 1, e - step.degree
+    assert (n, e) == (pruned.n, pruned.edge_count)
+    assert Fraction(e, n) > Fraction(g.edge_count, g.n)
 
 
 def prune_by_rebuilding(G):
     """Reference pruning: scan for a minimum (degree, label) vertex and
     rebuild the graph without it, once per removal."""
-    initial = stats(G)
     cur = G
     steps = []
     while cur.n:
@@ -70,9 +71,9 @@ def prune_by_rebuilding(G):
         d = cur.degree(v)
         if d * n >= e:
             break
-        steps.append(PruneStep(v, d, Fraction(e, n), Fraction(e - d, n - 1)))
+        steps.append(PruneStep(v, d))
         cur = remove_vertex(cur, v)
-    return cur, PruneTrace(tuple(steps), initial, stats(cur))
+    return cur, PruneTrace(tuple(steps))
 
 
 # prune --N: (initial e, removed vertices, final n, final e), as perfbench
@@ -82,10 +83,13 @@ PRUNE_FACTS = {2000: (8394, 1242, 758, 4283), 300: (916, 128, 172, 634)}
 
 @pytest.mark.parametrize("N", [300, 1000, 2000])
 def test_prune_matches_rebuild_oracle_on_range_graphs(N):
-    pruned, trace = prune_low_degree(build_range(N))
+    g = build_range(N)
+    pruned, trace = prune_low_degree(g)
     assert (pruned, trace) == prune_by_rebuilding(build_range(N))
+    removed = sum(step.degree for step in trace.steps)
+    assert (pruned.n, pruned.edge_count) == (g.n - len(trace.steps), g.edge_count - removed)
     if N in PRUNE_FACTS:
-        got = (trace.initial.e, len(trace.steps), trace.final.n, trace.final.e)
+        got = (g.edge_count, len(trace.steps), pruned.n, pruned.edge_count)
         assert got == PRUNE_FACTS[N]
 
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,72 @@ def test_build_json_to_stdout_streams_the_json_dumps_bytes(capsys, tmp_path, mon
         assert code == 0
         assert out == text, args
     assert calls == []
+
+
+def prune_doc(G):
+    """The `prune --format json` document of G, built whole, with each
+    step's densities made as Fractions from the running (n, e)."""
+    from diograph import analysis
+
+    pruned, trace = analysis.prune_low_degree(G)
+    n, e = G.n, G.edge_count
+    steps = []
+    for step in trace.steps:
+        before, after = Fraction(e, n), Fraction(e - step.degree, n - 1)
+        steps.append({
+            "vertex": step.vertex,
+            "degree": step.degree,
+            "density_before": [before.numerator, before.denominator],
+            "density_after": [after.numerator, after.denominator],
+        })
+        n, e = n - 1, e - step.degree
+    return {
+        "schema_version": 1,
+        "command": "prune",
+        "initial": {"n": G.n, "e": G.edge_count},
+        "final": {"n": pruned.n, "e": pruned.edge_count},
+        "steps": steps,
+    }
+
+
+def test_prune_json_to_stdout_streams_the_json_dumps_bytes(capsys, tmp_path, monkeypatch):
+    from diograph import cli, graph
+
+    empty, pair = tmp_path / "empty.txt", tmp_path / "pair.txt"
+    empty.write_text("", encoding="utf-8")
+    pair.write_text("1\n3\n", encoding="utf-8")
+    sources = [(["--N", str(N)], graph.build_range(N)) for N in (1, 2, 8, 300, 2000)]
+    sources += [
+        (["--N", "300", "--shift", "3"], graph.build_range(300, 3)),
+        (["--witness-file", str(empty)], graph.build_set([])),
+        (["--witness-file", str(pair)], graph.build_set([1, 3])),
+    ]
+    docs = [prune_doc(G) for _, G in sources]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prune must not call this")
+
+    # no stats pass: neither its clique search nor its component count runs
+    for name in ("stats", "_clique_number", "_component_count"):
+        monkeypatch.setattr(graph, name, refuse)
+    for chunk in (1, 2, 3, cli._STEP_CHUNK):
+        monkeypatch.setattr(cli, "_STEP_CHUNK", chunk)
+        for (args, _), doc in zip(sources, docs):
+            code, out, _ = run_cli(capsys, "--format", "json", "prune", *args)
+            assert code == 0
+            assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n", (chunk, args)
+    # text output encodes no step record
+    monkeypatch.setattr(json, "dumps", refuse)
+    for (args, _), doc in zip(sources, docs):
+        (n0, e0), (n1, e1) = (doc[k].values() for k in ("initial", "final"))
+        code, out, _ = run_cli(capsys, "prune", *args)
+        assert code == 0
+        assert out.splitlines() == [
+            f"removed {len(doc['steps'])} vertices",
+            f"n: {n0} -> {n1}",
+            f"e: {e0} -> {e1}",
+            f"density: {Fraction(e0, n0) if n0 else 0} -> {Fraction(e1, n1) if n1 else 0}",
+        ], args
 
 
 def test_structured_output_is_deterministic(capsys):

@@ -284,6 +284,18 @@ def test_chromatic_number_examples():
     assert chromatic_number(cycle_graph(7)) == 3
 
 
+def test_symmetry_clique_needs_the_quadruple_edges():
+    # the public constructor takes any adjacency: labels 1, 3, 8, 120 at
+    # shift 1 without their edges are no clique to pre-colour
+    quad = DiophGraph(K4_WITNESS, {v: () for v in K4_WITNESS}, 1)
+    assert k_colorable(quad, 1).colorable
+    assert chromatic_number(quad) == 1
+    vs = (*K4_WITNESS, 5)
+    one_edge = DiophGraph(vs, {v: {1: (3,), 3: (1,)}.get(v, ()) for v in vs}, 1)
+    assert chromatic_number(one_edge) == 2
+    assert _symmetry_clique(build_set(vs), list(vs)) == list(K4_WITNESS)
+
+
 def test_minimality_on_k5_scaffold():
     vs = tuple(range(1, 6))
     adj = {v: tuple(u for u in vs if u != v) for v in vs}
