@@ -209,14 +209,13 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     from .witnesses import load_witness_file
 
     values = load_witness_file(args.witness_file)
-    request = extension.ExtensionRequest(
-        V=tuple(values),
-        mode=args.mode,
-        count=_positive("count", args.count),
-        i=args.i,
-        j=args.j,
-    )
-    out = request.run()
+    count = _positive("count", args.count)
+    if args.mode == "isolated":
+        out = extension.extend_isolated(values, count)
+    elif args.mode == "pendant":
+        out = extension.extend_pendant(values, args.i, count)
+    else:
+        out = extension.extend_double(values, args.i, args.j, count)
     _emit(args, {"mode": args.mode, "extensions": out}, [str(w) for w in out])
     return EXIT_OK
 

@@ -44,7 +44,6 @@ from .pell import (
 from .witnesses import _vertex_list
 
 __all__ = [
-    "ExtensionRequest",
     "NeighborBudgetError",
     "PendantPlan",
     "RegularTriple",
@@ -79,36 +78,6 @@ def _fresh_against(w: int, others) -> bool:
     return all(not same_square_free_part(w, v) for v in others)
 
 
-@dataclass
-class ExtensionRequest:
-    """One extension job: attach `count` new vertices to V in the given
-    mode (isolated, pendant to index i, or double to indices i and j)."""
-
-    V: tuple[int, ...]
-    mode: str
-    count: int
-    i: int | None = None
-    j: int | None = None
-
-    def __post_init__(self) -> None:
-        """Reject bad elements, mode or indices before any work, with the
-        lemmas' own checks and texts; `run` checks the count."""
-        self.V = tuple(_vertex_list(self.V))
-        if self.mode not in ("isolated", "pendant", "double"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "pendant":
-            _chosen(self.V, self.i)
-        elif self.mode == "double":
-            _double_ends(self.V, self.i, self.j)
-
-    def run(self) -> list[int]:
-        if self.mode == "isolated":
-            return extend_isolated(self.V, self.count)
-        if self.mode == "pendant":
-            return extend_pendant(self.V, self.i, self.count)
-        return extend_double(self.V, self.i, self.j, self.count)
-
-
 def _chosen(vs, *indices) -> list[int]:
     """The elements of the witness list vs at the chosen indices, which
     must be distinct positions of it."""
@@ -120,18 +89,6 @@ def _chosen(vs, *indices) -> list[int]:
     if len(set(indices)) < len(indices):
         raise ValueError(f"extension indices must be distinct, got {list(indices)}")
     return [vs[k] for k in indices]
-
-
-def _double_ends(vs, i: int, j: int) -> tuple[int, int]:
-    """The endpoints v_i, v_j of a double extension, which need different
-    square-free parts."""
-    v_i, v_j = _chosen(vs, i, j)
-    if same_square_free_part(v_i, v_j):
-        raise ValueError(
-            f"{v_i} and {v_j} share a square-free part; only finitely many "
-            "common neighbors exist (use common_neighbors_equal_sqfree)"
-        )
-    return v_i, v_j
 
 
 def _distinct_primes_avoiding(values: list[int]) -> tuple[list[int], int]:
@@ -299,7 +256,12 @@ def extend_pendant(V, i: int, count: int) -> list[int]:
 
 
 def _double_candidates(vs: list[int], i: int, j: int):
-    v_i, v_j = _double_ends(vs, i, j)
+    v_i, v_j = _chosen(vs, i, j)
+    if same_square_free_part(v_i, v_j):
+        raise ValueError(
+            f"{v_i} and {v_j} share a square-free part; only finitely many "
+            "common neighbors exist (use common_neighbors_equal_sqfree)"
+        )
     if v_j < v_i:
         # the adjacency contract is symmetric; anchoring the orbit at the
         # smaller value keeps the unit order (and the orbit elements) small
@@ -500,12 +462,11 @@ def family_k5_minus_edge(k: int) -> tuple[int, int, int, int, int]:
 
 @dataclass
 class WitnessSet:
-    """Integers claimed to represent an abstract graph, with the vertex
-    mapping and the outcome of the edge-for-edge verification."""
+    """Integers that represent an abstract graph, with the vertex mapping.
+    Each witness is checked edge for edge before it is returned."""
 
     values: tuple[int, ...]
     mapping: dict
-    verified: bool
 
 
 @dataclass
@@ -603,13 +564,14 @@ def represent_graph(
     vertices), or report "unknown".
 
     Vertices of degree at most two are peeled recursively and rebuilt
-    with the isolated/pendant/double extension generators; a leftover
-    core of minimum degree three or more goes to a budgeted brute-force
-    search over {1..pool_bound}.  `nodes_searched` counts the candidates
-    tried; each open level of the search charges one more once the budget
-    runs out, so it can pass node_budget by up to the search depth.  A
-    target containing K5 is flagged as known impossible (no Diophantine
-    quintuples exist) and reported without searching.
+    by the isolated, pendant or double extension lemma for their 0, 1 or
+    2 remaining neighbors; a leftover core of minimum degree three or
+    more goes to a budgeted brute-force search over {1..pool_bound}.
+    `nodes_searched` counts the candidates tried; each open level of the
+    search charges one more once the budget runs out, so it can pass
+    node_budget by up to the search depth.  A target containing K5 is
+    flagged as known impossible (no Diophantine quintuples exist) and
+    reported without searching.
     """
     verts = list(vertices)
     if len(verts) > 8:
@@ -653,14 +615,13 @@ def represent_graph(
             # Lemma's precondition broken by the core assignment;
             # report honestly rather than claim a negative.
             return unknown
-        request = ExtensionRequest(values, ("isolated", "pendant", "double")[len(ends)], 1, *ends)
+        lemma = (extend_isolated, extend_pendant, extend_double)[len(ends)]
         try:
-            mapping[v] = request.run()[0]
+            mapping[v] = lemma(values, *ends, 1)[0]
         except PellBudgetError:
             return unknown  # nor is a Pell period or unit order too long to compute
 
-    ok = _verify_mapping(verts, adj, mapping)
-    witness = WitnessSet(tuple(mapping[v] for v in verts), dict(mapping), ok)
-    if not ok:
+    if not _verify_mapping(verts, adj, mapping):
         raise RuntimeError("constructed representation failed verification")
+    witness = WitnessSet(tuple(mapping[v] for v in verts), dict(mapping))
     return RepresentResult("found", witness, False, searched)

@@ -22,6 +22,7 @@ document's vertices and shift.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,7 +85,8 @@ class DiophGraph:
 
     `DiophGraph(vertices, adjacency, shift)` builds a graph from any
     mapping of each vertex to its neighbors, which must be symmetric and
-    loop-free.
+    loop-free.  A label is found by bisection over `vertices`, so a
+    lookup adds no state to the graph.
 
     `_relation` is true when the edges are known to be exactly the pairs
     a, b with a*b + shift a square: build_range, build_set and the
@@ -93,7 +95,7 @@ class DiophGraph:
     public constructor leaves it false, whatever the adjacency holds.
     `_clique_number` tests pairs by the relation when it is set."""
 
-    __slots__ = ("vertices", "shift", "indptr", "indices", "_index", "_relation")
+    __slots__ = ("vertices", "shift", "indptr", "indices", "_relation")
     __hash__ = None  # equal graphs compare equal; they are not hashed
 
     def __init__(self, vertices, adjacency, shift: int = 1):
@@ -128,7 +130,6 @@ class DiophGraph:
         self.indptr.flags.writeable = self.indices.flags.writeable = False
         self.vertices = vs
         self.shift = shift
-        self._index = None  # label -> position, built on the first lookup
         self._relation = relation
 
     @classmethod
@@ -171,9 +172,15 @@ class DiophGraph:
         return _AdjacencyView(self)
 
     def _position(self, v: int) -> int:
-        if self._index is None:
-            self._index = {u: i for i, u in enumerate(self.vertices)}
-        return self._index[v]
+        """The position of label v in `vertices`; KeyError when v is not a
+        vertex or cannot be compared with the labels."""
+        try:
+            i = bisect_left(self.vertices, v)
+        except TypeError:
+            raise KeyError(v) from None
+        if i == len(self.vertices) or self.vertices[i] != v:
+            raise KeyError(v)
+        return i
 
     def _degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -195,7 +202,7 @@ class DiophGraph:
     def has_edge(self, a: int, b: int) -> bool:
         try:
             i, j = self._position(a), self._position(b)
-        except (KeyError, TypeError):
+        except KeyError:
             return False
         row = self.indices[self.indptr[i] : self.indptr[i + 1]]
         k = int(np.searchsorted(row, j))
@@ -240,7 +247,7 @@ class _AdjacencyView(Mapping):
     def __contains__(self, v) -> bool:
         try:
             self._graph._position(v)
-        except (KeyError, TypeError):
+        except KeyError:
             return False
         return True
 
@@ -696,10 +703,12 @@ def _restrict(G: DiophGraph, keep: np.ndarray) -> DiophGraph:
 
 
 def remove_vertex(G: DiophGraph, v: int) -> DiophGraph:
-    # a scan: G's label index would add two thirds of the result to the peak
-    keep = np.fromiter((u != v for u in G.vertices), dtype=bool, count=G.n)
-    if keep.all():
-        raise ValueError(f"vertex {v} not in graph")
+    try:
+        i = G._position(v)
+    except KeyError:
+        raise ValueError(f"vertex {v} not in graph") from None
+    keep = np.ones(G.n, dtype=bool)
+    keep[i] = False
     return _restrict(G, keep)
 
 

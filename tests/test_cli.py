@@ -448,10 +448,9 @@ def test_bad_extension_requests_read_the_same_in_the_cli_and_the_library(
         "pendant": lambda: extension.extend_pendant(V, ij[0], 1),
         "double": lambda: extension.extend_double(V, *ij, 1),
     }[mode]
-    for call in (lemma, lambda: extension.ExtensionRequest(tuple(V), mode, 1, *ij)):
-        with pytest.raises(ValueError) as exc:
-            call()
-        assert str(exc.value).startswith(text)
+    with pytest.raises(ValueError) as exc:
+        lemma()
+    assert str(exc.value).startswith(text)
 
 
 def test_prune_command(capsys):

@@ -7,9 +7,8 @@ from math import gcd, isqrt
 
 import pytest
 
-from diograph import extension
+from diograph import cli, extension
 from diograph.extension import (
-    ExtensionRequest,
     NeighborBudgetError,
     _search_core,
     _verify_mapping,
@@ -188,7 +187,6 @@ def test_extensions_reject_non_integer_elements(bad):
         lambda: extend_double(V, 0, 2, 1),
         lambda: common_neighbors_bounded(V, 200),
         lambda: pendant_plan(V, 0),
-        lambda: ExtensionRequest(V=tuple(V), mode="double", count=1, i=0, j=1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"vertices must be integers, got {bad!r}")):
@@ -201,15 +199,18 @@ def test_pendant_plan_rejects_a_bad_index_with_a_value_error(i):
         pendant_plan([1, 3], i)
 
 
-def test_extension_request_dispatch():
-    req = ExtensionRequest(V=(1, 3), mode="double", count=2, i=0, j=1)
-    assert req.run() == [8, 120]
-    req = ExtensionRequest(V=(1,), mode="isolated", count=1)
-    assert req.run() == [21]
-    with pytest.raises(ValueError, match="mode"):
-        ExtensionRequest(V=(1,), mode="weird", count=1)
+def test_extension_lemmas_and_the_cli_mode_choice(capsys, tmp_path):
+    assert extend_double([1, 3], 0, 1, 2) == [8, 120]
+    assert extend_isolated([1], 1) == [21]
     with pytest.raises(ValueError):
-        ExtensionRequest(V=(1, 16), mode="double", count=1, i=0, j=1)
+        extend_double([1, 16], 0, 1, 1)
+    wf = tmp_path / "w.txt"
+    wf.write_text("1\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["extend", "--witness-file", str(wf), "--mode", "weird"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --mode: invalid choice: 'weird'" in err
 
 
 def test_common_neighbors_equal_sqfree_examples():
@@ -330,7 +331,6 @@ def test_represent_max_degree_two_always_succeeds():
     for name, vs, es in cases:
         res = represent_graph(vs, es)
         assert res.status == "found", name
-        assert res.witness.verified
         g = build_set(res.witness.values)
         for u, v in combinations(vs, 2):
             want = (u, v) in es or (v, u) in es
@@ -490,6 +490,19 @@ def test_represent_node_counts_are_pinned():
     assert (res.status, res.nodes_searched) == ("unknown", 20_004)
     res = represent_graph(*REPRESENT_W5)
     assert (res.status, res.known_impossible, res.nodes_searched) == ("unknown", False, 152_973)
+
+
+def test_represent_rebuild_through_all_three_lemmas_is_pinned():
+    # K4 on a..d, e pendant to a, f double to b and c, g isolated: the rebuild
+    # calls the double (f), pendant (e) and isolated (g) lemmas, in that order
+    vs = list("abcdefg")
+    es = [*combinations("abcd", 2), ("e", "a"), ("f", "b"), ("f", "c")]
+    res = represent_graph(vs, es)
+    assert res.status == "found" and res.nodes_searched == 14
+    assert res.witness.mapping == {
+        "a": 1, "b": 3, "c": 8, "d": 120, "e": 63, "f": 191793804840, "g": 208622489893,
+    }
+    assert res.witness.values == tuple(res.witness.mapping[v] for v in vs)
 
 
 def test_represent_rejects_nonpositive_budget_and_pool():

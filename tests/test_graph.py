@@ -1121,6 +1121,29 @@ def test_adjacency_view_is_read_only_mapping():
     assert g.has_edge(3, 8) and not g.has_edge(3, 4) and not g.has_edge(3, 99)
 
 
+def test_label_lookups_keep_no_state_and_raise_key_errors():
+    g = build_range(8)
+    assert g.adjacency.get("x") is None and not g.has_edge("x", 3)
+    assert g.adjacency[3.0] == g.adjacency[3] and g.degree(3.0) == 3
+    for bad in (9, 0, "x", 2.5, None):
+        with pytest.raises(KeyError):
+            g.adjacency[bad]
+        with pytest.raises(ValueError, match=re.escape(f"vertex {bad} not in graph")):
+            remove_vertex(g, bad)
+    assert remove_vertex(g, 3.0) == remove_vertex(g, 3) == induced(g, [1, 2, 4, 5, 6, 7, 8])
+    assert build_set([]).adjacency.get(1) is None
+
+    G = build_range(10**5)
+    tracemalloc.start()
+    try:
+        assert G.degree(77) == len(G.neighbors(77)) and G.has_edge(1, 3)
+        assert 10**5 in G.adjacency and 10**5 + 1 not in G.adjacency
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2**20, held
+
+
 def test_graph_doc_round_trip_with_labels_beyond_int64(tmp_path):
     big = 2**66 - 1  # 1 * big + 1 = (2^33)^2
     g = build_set([1, 3, 8, 120, big])
