@@ -32,7 +32,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
-_STEP_CHUNK = 1 << 10  # step records per `json.dumps` call of `prune`
+# a `prune` step (all int fields) as `json.dumps(indent=2, sort_keys=True)` writes it
+_STEP_RECORD = (
+    '\n    {{\n      "degree": {},\n      "density_after": [\n        {},\n        {}\n      ],'
+    '\n      "density_before": [\n        {},\n        {}\n      ],\n      "vertex": {}\n    }}'
+)
 
 
 def _positive(name: str, value: int) -> int:
@@ -56,7 +60,8 @@ def _int_list(flag: str, text: str) -> list[int]:
 def _emit(args: argparse.Namespace, doc: dict, human_lines: list[str],
           **lists: Iterable[str]) -> None:
     """Print `doc` under --format json, else the human lines.  Each keyword
-    adds a list field, given as the pieces of its `json.dumps(indent=2)` text."""
+    adds a list field, given as the pieces of the text `json.dumps(indent=2,
+    sort_keys=True)` writes for it; `doc` itself is encoded once."""
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **doc}
         doc.update(dict.fromkeys(lists, []))
@@ -263,30 +268,24 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     if args.out:
         graph.save_graph_file(pruned, args.out)
     (n0, e0), (n1, e1) = (G.n, G.edge_count), (pruned.n, pruned.edge_count)
+    density0 = Fraction(e0, n0) if n0 else 0
 
-    def step_pieces(n, e):  # each record with the densities e/n before and after it
-        for c0 in range(0, len(trace.steps), _STEP_CHUNK):
-            records = []
-            for vertex, d in trace.steps[c0 : c0 + _STEP_CHUNK]:
-                before, after = Fraction(e, n), Fraction(e - d, n - 1)
-                records.append({
-                    "vertex": vertex,
-                    "degree": d,
-                    "density_before": [before.numerator, before.denominator],
-                    "density_after": [after.numerator, after.denominator],
-                })
-                n, e = n - 1, e - d
-            # a list one level down: drop the brackets, indent two more spaces
-            text = json.dumps(records, indent=2, sort_keys=True).replace("\n", "\n  ")
-            yield ("," if c0 else "[") + text[1:-4]
+    def step_pieces(n, e, before):  # each record with the densities e/n before and after it
+        sep = "["
+        for vertex, d in trace.steps:
+            n, e = n - 1, e - d
+            after = Fraction(e, n)
+            yield sep + _STEP_RECORD.format(d, after.numerator, after.denominator,
+                                            before.numerator, before.denominator, vertex)
+            before, sep = after, ","
         yield "\n  ]" if trace.steps else "[]"
 
     _emit(args, {"initial": {"n": n0, "e": e0}, "final": {"n": n1, "e": e1}}, [
         f"removed {len(trace.steps)} vertices",
         f"n: {n0} -> {n1}",
         f"e: {e0} -> {e1}",
-        f"density: {Fraction(e0, n0) if n0 else 0} -> {Fraction(e1, n1) if n1 else 0}",
-    ], steps=step_pieces(n0, e0))
+        f"density: {density0} -> {Fraction(e1, n1) if n1 else 0}",
+    ], steps=step_pieces(n0, e0, density0))
     return EXIT_OK
 
 
@@ -318,11 +317,10 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
     doc = read_json_file(args.graph_file)
     try:
-        vertices = doc["vertices"]
-        edges = [(a, b) for a, b in doc["edges"]]
-        if not isinstance(vertices, list) or len({type(v) for v in vertices}) > 1:
-            raise TypeError("vertices must be an array of labels of one type")
-        hash(tuple(vertices))  # labels must be hashable
+        vertices, edges = doc["vertices"], doc["edges"]
+        if not isinstance(vertices, list):
+            raise TypeError("vertices must be an array")
+        extension._target_adjacency(vertices, edges)  # represent_graph's target checks
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed target document: {exc}") from None
     res = extension.represent_graph(

@@ -554,6 +554,34 @@ def _search_core(
     return None
 
 
+def _target_adjacency(vertices, edges) -> tuple[list, list[int]]:
+    """The target's vertices and one adjacency bitmask per vertex, checked:
+    at most eight distinct hashable labels of one type (the peel breaks
+    degree ties by label), and edges that are pairs of two of them."""
+    verts = list(vertices)
+    if len(verts) > 8:
+        raise ValueError("representation search is limited to 8 vertices")
+    if len(set(map(type, verts))) > 1:
+        raise ValueError("target vertices must be labels of one type")
+    try:
+        distinct = len(set(verts)) == len(verts)
+    except TypeError:
+        raise ValueError("target vertices must be hashable") from None
+    if not distinct:
+        raise ValueError("duplicate target vertices")
+    try:
+        pairs = [(a, b) for a, b in edges]
+    except (TypeError, ValueError):
+        raise ValueError("target edges must be pairs of vertices") from None
+    adj = [0] * len(verts)
+    for a, b in pairs:  # `in` compares, so an unhashable end is a bad edge too
+        if a == b or a not in verts or b not in verts:
+            raise ValueError(f"bad edge ({a}, {b})")
+        adj[verts.index(a)] |= 1 << verts.index(b)
+        adj[verts.index(b)] |= 1 << verts.index(a)
+    return verts, adj
+
+
 def represent_graph(
     vertices,
     edges,
@@ -571,21 +599,12 @@ def represent_graph(
     search charges one more once the budget runs out, so it can pass
     node_budget by up to the search depth.  A target containing K5 is
     flagged as known impossible (no Diophantine quintuples exist) and
-    reported without searching.
+    reported without searching.  A malformed target (`_target_adjacency`)
+    raises ValueError.
     """
-    verts = list(vertices)
-    if len(verts) > 8:
-        raise ValueError("representation search is limited to 8 vertices")
-    if len(set(verts)) != len(verts):
-        raise ValueError("duplicate target vertices")
+    verts, adj = _target_adjacency(vertices, edges)
     if node_budget < 1 or pool_bound < 1:
         raise ValueError("node_budget and pool_bound must be positive")
-    adj = [0] * len(verts)
-    for a, b in edges:
-        if a == b or a not in verts or b not in verts:
-            raise ValueError(f"bad edge ({a}, {b})")
-        adj[verts.index(a)] |= 1 << verts.index(b)
-        adj[verts.index(b)] |= 1 << verts.index(a)
 
     if _contains_k5(adj):
         return RepresentResult("unknown", None, True, 0)

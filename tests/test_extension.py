@@ -511,6 +511,20 @@ def test_represent_rejects_nonpositive_budget_and_pool():
             represent_graph(*REPRESENT_K33, **kw)
 
 
+def test_represent_rejects_malformed_targets_with_value_error():
+    cases = [
+        (([[1], [2]], []), "hashable"),
+        (([1, 2], [5]), "pairs"),
+        (([1, "a"], []), "one type"),
+        (([1, 2], None), "pairs"),
+        (([1, 2], [[1, 2, 3]]), "pairs"),
+        (([1, 2], [[[1], 2]]), r"bad edge \(\[1\], 2\)"),  # an unhashable end
+    ]
+    for target, text in cases:
+        with pytest.raises(ValueError, match=text):
+            represent_graph(*target)
+
+
 def test_represent_and_bounded_neighbors_leave_the_sieve_unbuilt():
     assert represent_graph(*REPRESENT_K33, node_budget=2_000).status == "unknown"
     assert represent_graph([0, 1, 2, 3], list(combinations(range(4), 2))).status == "found"
