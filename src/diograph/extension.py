@@ -556,19 +556,21 @@ def _search_core(
 
 def _target_adjacency(vertices, edges) -> tuple[list, list[int]]:
     """The target's vertices and one adjacency bitmask per vertex, checked:
-    at most eight distinct hashable labels of one type (the peel breaks
-    degree ties by label), and edges that are pairs of two of them."""
+    at most eight distinct hashable labels that can be ordered (the peel
+    breaks degree ties by label), and edges that are pairs of two of them."""
     verts = list(vertices)
     if len(verts) > 8:
         raise ValueError("representation search is limited to 8 vertices")
-    if len(set(map(type, verts))) > 1:
-        raise ValueError("target vertices must be labels of one type")
     try:
         distinct = len(set(verts)) == len(verts)
     except TypeError:
         raise ValueError("target vertices must be hashable") from None
     if not distinct:
         raise ValueError("duplicate target vertices")
+    try:
+        sorted(verts)
+    except TypeError:
+        raise ValueError("target vertices must be labels that can be ordered") from None
     try:
         pairs = [(a, b) for a, b in edges]
     except (TypeError, ValueError):

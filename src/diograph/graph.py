@@ -848,15 +848,6 @@ def graph_from_doc(doc: dict) -> DiophGraph:
     or 2 is rejected, and a document without one loads.  The vertex set
     and shift fix the graph (`_rebuild`), so the listed edges must be
     exactly its edges, each once, in any order and orientation."""
-    shift, vs, labels, ends = _doc_parts(doc)
-    del doc  # with no other reference, its lists go before the rebuild
-    return _checked_edges(_rebuild(shift, vs), labels, ends)
-
-
-def _doc_parts(doc: dict) -> tuple[int, tuple[int, ...], np.ndarray, np.ndarray]:
-    """The shift and sorted vertices of a graph document (`_doc_header`),
-    the vertices as an array and its edges as an (m, 2) array, checked to
-    be integer pairs."""
     shift, vs = _doc_header(doc)
     ends = np.array(doc.get("edges"), dtype=object)
     if ends.shape == (0,):
@@ -868,14 +859,8 @@ def _doc_parts(doc: dict) -> tuple[int, tuple[int, ...], np.ndarray, np.ndarray]
         labels, ends = np.array(vs, dtype=np.int64), ends.astype(np.int64)
     except OverflowError:
         labels = np.array(vs, dtype=object)
-    return shift, vs, labels, ends
-
-
-def _checked_edges(G: DiophGraph, labels: np.ndarray, ends: np.ndarray) -> DiophGraph:
-    """G, the graph a document's header fixes, if its listed edges `ends`
-    are exactly G's edges, each once; else a ValueError naming the first
-    fault (`labels` are G's vertices as an array)."""
-    shift, vs = G.shift, G.vertices
+    del doc  # load_graph_file holds no other reference: its lists go before the rebuild
+    G = _rebuild(shift, vs)
     n = len(vs)
     pos, known = _lookup(labels, ends)
     keys = pos.min(axis=1) * n
@@ -919,10 +904,10 @@ def save_graph_file(G: DiophGraph, path) -> None:
         fh.write(b"}\n")
 
 
-def _load_canonical(fh) -> tuple[DiophGraph | None, bool]:
-    """The graph the header of the document in the binary file `fh` fixes
-    (None if that header does not parse and check), and whether the
-    document is exactly that graph in the layout save_graph_file writes.
+def _load_canonical(fh) -> DiophGraph | None:
+    """The graph of a document in exactly the layout save_graph_file
+    writes, read from the binary file `fh`, or None for any other
+    document.
 
     The file is read in pieces of _CHUNK_BYTES up to the first
     `, "edges": `; only the fields before it are parsed (and checked as
@@ -937,7 +922,7 @@ def _load_canonical(fh) -> tuple[DiophGraph | None, bool]:
     while cut < 0:
         piece = fh.read(_CHUNK_BYTES)
         if not piece:
-            return None, False
+            return None
         start = max(0, len(head) - len(key) + 1)  # a key may straddle two reads
         head += piece
         cut = head.find(key, start)
@@ -947,20 +932,20 @@ def _load_canonical(fh) -> tuple[DiophGraph | None, bool]:
         # required) stays valid JSON with the edges appended
         shift, vs = _doc_header(json.loads(head[:cut].decode("utf-8") + "}"))
     except ValueError:  # including invalid JSON and invalid UTF-8
-        return None, False
+        return None
     del head
     G = _rebuild(shift, vs)
     for piece in chain(_json_edges(G), [b"}"]):
         if len(rest) < len(piece):
             rest += fh.read(len(piece) - len(rest))
         if not rest.startswith(piece):
-            return G, False
+            return None
         rest = rest[len(piece) :]
     while not rest.strip(b" \t\n\r"):
         rest = fh.read(_CHUNK_BYTES)
         if not rest:
-            return G, True
-    return G, False
+            return G
+    return None
 
 
 def load_graph_file(path) -> DiophGraph:
@@ -968,19 +953,11 @@ def load_graph_file(path) -> DiophGraph:
     writes is checked as it is read, by rebuilding its graph and comparing
     encodings piece by piece (`_load_canonical`), so the file is never
     held whole; any other document (version 1, indented, reordered or
-    faulty) goes through `read_json_file` and graph_from_doc's checks,
-    which accept the same documents and name the fault of any other.  A graph
-    `_load_canonical` rebuilt is handed on, so no document is rebuilt
-    twice; if the fully parsed header differs (a duplicate key), the
-    general path rebuilds its own."""
+    faulty) goes through `read_json_file` and `graph_from_doc`, which
+    accept the same documents and name the fault of any other."""
     with open(path, "rb") as fh:
-        G, exact = _load_canonical(fh)
-    if exact:
-        return G
-    shift, vs, labels, ends = _doc_parts(read_json_file(path))
-    if G is None or (G.shift, G.vertices) != (shift, vs):
-        G = _rebuild(shift, vs)
-    return _checked_edges(G, labels, ends)
+        G = _load_canonical(fh)
+    return G if G is not None else graph_from_doc(read_json_file(path))
 
 
 def write_edge_list(G: DiophGraph, path) -> None:

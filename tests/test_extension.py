@@ -515,7 +515,8 @@ def test_represent_rejects_malformed_targets_with_value_error():
     cases = [
         (([[1], [2]], []), "hashable"),
         (([1, 2], [5]), "pairs"),
-        (([1, "a"], []), "one type"),
+        (([1, "a"], []), "ordered"),
+        (([1j, 2j], []), "ordered"),  # one type, still without an order
         (([1, 2], None), "pairs"),
         (([1, 2], [[1, 2, 3]]), "pairs"),
         (([1, 2], [[[1], 2]]), r"bad edge \(\[1\], 2\)"),  # an unhashable end
@@ -523,6 +524,8 @@ def test_represent_rejects_malformed_targets_with_value_error():
     for target, text in cases:
         with pytest.raises(ValueError, match=text):
             represent_graph(*target)
+    # labels of two types that compare are a target like any other
+    assert represent_graph([0, 1.5], []).status == "found"
 
 
 def test_represent_and_bounded_neighbors_leave_the_sieve_unbuilt():
